@@ -2,9 +2,11 @@
 
 This is the numeric cross-check against exact flat-band detection.  The
 Floquet matrix is evaluated at z = (exp(i th_1), .., exp(i th_d)) on a
-uniform grid, symmetrized, and diagonalized by a cyclic Jacobi sweep on
-the real-symmetric embedding [[A, -B], [B, A]] of the Hermitian matrix
-A + iB.  No external numeric library is used; plain lists of floats are
+uniform grid, symmetrized, and diagonalized by cyclic complex Jacobi
+rotations applied directly to the n x n Hermitian matrix.  Labels are
+real, so L at -th is the entrywise conjugate of L at th and has the same
+spectrum: each pair of opposite grid points is diagonalized once.  No
+external numeric library is used; plain lists of complex numbers are
 plenty at this matrix size.
 """
 
@@ -59,7 +61,9 @@ def symmetric_jacobi(matrix: list[list[float]]) -> tuple[list[float], list[list[
 
     Cyclic Jacobi rotations until the off-diagonal mass is negligible.
     Returns eigenvalues ascending with the matching eigenvectors as
-    columns (vectors[k] is the k-th eigenvector).
+    columns (vectors[k] is the k-th eigenvector).  Applied to the real
+    embedding [[A, -B], [B, A]] it is the reference that tests hold
+    hermitian_eigh against.
     """
     n = len(matrix)
     a = [row[:] for row in matrix]
@@ -100,26 +104,56 @@ def symmetric_jacobi(matrix: list[list[float]]) -> tuple[list[float], list[list[
 def hermitian_eigh(matrix: list[list[complex]]) -> tuple[list[float], list[list[complex]]]:
     """Eigenvalues and eigenvectors of a Hermitian matrix.
 
-    Diagonalizes the doubled real-symmetric embedding; each complex
-    eigenpair appears twice there, so every second sorted value is kept
-    and the embedding vector (x, y) is folded back to x + iy.
+    Cyclic complex Jacobi.  For each pivot a_pq = |a_pq| e, the unitary
+    diag(1, conj(e)) makes it real and a real (c, s) rotation then zeroes
+    it; the 2 x 2 block is set in closed form and the rest of rows p, q
+    are the conjugates of the updated columns.  Returns eigenvalues
+    ascending with the matching eigenvectors (vectors[k] is the k-th).
     """
     n = len(matrix)
-    a = [[matrix[i][j].real for j in range(n)] for i in range(n)]
-    b = [[matrix[i][j].imag for j in range(n)] for i in range(n)]
-    embed = [
-        [a[i][j] if j < n else -b[i][j - n] for j in range(2 * n)]
-        if i < n
-        else [b[i - n][j] if j < n else a[i - n][j - n] for j in range(2 * n)]
-        for i in range(2 * n)
-    ]
-    values, vectors = symmetric_jacobi(embed)
-    out_values = [values[2 * k] for k in range(n)]
-    out_vectors = []
-    for k in range(n):
-        vec = vectors[2 * k]
-        out_vectors.append([complex(vec[i], vec[n + i]) for i in range(n)])
-    return out_values, out_vectors
+    a = [[complex(x) for x in row] for row in matrix]
+    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    scale = sum(abs(x) for row in a for x in row) or 1.0
+    threshold = _JACOBI_EPS * scale * scale
+    negligible = threshold / max(n * n, 1)
+    for _ in range(_JACOBI_SWEEPS):
+        off = sum(abs(a[i][j]) ** 2 for i in range(n) for j in range(i + 1, n))
+        if off <= threshold:
+            break
+        for p in range(n - 1):
+            ap = a[p]
+            for q in range(p + 1, n):
+                aq = a[q]
+                mag = abs(ap[q])
+                if mag * mag <= negligible:
+                    continue
+                e = ap[q] / mag
+                theta = (aq[q].real - ap[p].real) / (2.0 * mag)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                s_ce = s * e.conjugate()
+                c_ce = c * e.conjugate()
+                for k in range(n):
+                    if k == p or k == q:
+                        continue
+                    ak = a[k]
+                    akp, akq = ak[p], ak[q]
+                    ak[p] = x = c * akp - s_ce * akq
+                    ak[q] = y = s * akp + c_ce * akq
+                    ap[k] = x.conjugate()
+                    aq[k] = y.conjugate()
+                ap[p] = complex(ap[p].real - t * mag)
+                aq[q] = complex(aq[q].real + t * mag)
+                ap[q] = aq[p] = 0j
+                for vk in v:
+                    vkp, vkq = vk[p], vk[q]
+                    vk[p] = c * vkp - s_ce * vkq
+                    vk[q] = s * vkp + c_ce * vkq
+    order = sorted(range(n), key=lambda k: a[k][k].real)
+    values = [a[k][k].real for k in order]
+    vectors = [[v[i][k] for i in range(n)] for k in order]
+    return values, vectors
 
 
 @dataclass(frozen=True)
@@ -147,17 +181,23 @@ def sample_bands(graph: PeriodicGraph, labeling: Labeling, resolution: int = 16
     angles = [2.0 * math.pi * k / resolution for k in range(resolution)]
     grid = []
     bands = []
-    for point in product(angles, repeat=graph.dimension):
-        z_values = [cmath.exp(1j * th) for th in point]
-        numeric = floquet_at(matrix, z_values)
-        for i in range(n):
-            for j in range(i, n):
-                mean = 0.5 * (numeric[i][j] + numeric[j][i].conjugate())
-                numeric[i][j] = mean
-                numeric[j][i] = mean.conjugate()
-        values, _ = hermitian_eigh(numeric)
-        grid.append(tuple(point))
-        bands.append(tuple(values))
+    solved: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for index in product(range(resolution), repeat=graph.dimension):
+        point = tuple(angles[k] for k in index)
+        # real labels: L at the opposite point is the conjugate, same spectrum
+        values = solved.get(tuple(-k % resolution for k in index))
+        if values is None:
+            z_values = [cmath.exp(1j * th) for th in point]
+            numeric = floquet_at(matrix, z_values)
+            for i in range(n):
+                for j in range(i, n):
+                    mean = 0.5 * (numeric[i][j] + numeric[j][i].conjugate())
+                    numeric[i][j] = mean
+                    numeric[j][i] = mean.conjugate()
+            values = tuple(hermitian_eigh(numeric)[0])
+            solved[index] = values
+        grid.append(point)
+        bands.append(values)
     flatness = tuple(
         max(row[j] for row in bands) - min(row[j] for row in bands)
         for j in range(n)

@@ -118,9 +118,13 @@ def parse_graph_spec(document: dict) -> GraphSpec:
             potentials[k] = parse_rational(orbit["potential"], f"{where}.potential")
     index = {name: k for k, name in enumerate(ids)}
 
+    edge_docs = document.get("edges", [])
+    if not isinstance(edge_docs, list):
+        raise GraphFormatError("edges must be a list")
     weights: dict[EdgeClass, Fraction] = {}
     edges: list[tuple[int, int, tuple[int, ...]]] = []
-    for k, edge in enumerate(document.get("edges", [])):
+    seen: set[EdgeClass] = set()
+    for k, edge in enumerate(edge_docs):
         where = f"edges[{k}]"
         if not isinstance(edge, dict):
             raise GraphFormatError(f"{where}: expected an object")
@@ -145,10 +149,11 @@ def parse_graph_spec(document: dict) -> GraphSpec:
             canonical = canonicalize_edge(i, j, offset)
         except ValueError as exc:
             raise GraphFormatError(f"{where}: {exc}") from exc
-        if canonical in {canonicalize_edge(*e) for e in edges}:
+        if canonical in seen:
             raise GraphFormatError(
                 f"{where}: duplicate edge class {canonical} after canonicalization"
             )
+        seen.add(canonical)
         edges.append((i, j, tuple(offset)))
         if "weight" in edge:
             weights[canonical] = parse_rational(edge["weight"], f"{where}.weight")

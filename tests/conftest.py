@@ -1,10 +1,19 @@
 """Shared fixtures: the Lieb lattice in several forms."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from flatbands.graph import Labeling, PeriodicGraph
+
+# Tests that start `python -m flatbands` need the same sources in the
+# child interpreter, whether or not the package is installed.
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+)
 
 LIEB_EDGES = [
     (0, 1, (0, 0)),

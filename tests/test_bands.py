@@ -1,12 +1,15 @@
 """Numeric band sampling: Jacobi eigensolver and torus grids."""
 
+import cmath
 import io
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from flatbands import bands
 from flatbands.bands import (
     evaluate_entry,
     flat_energy_presence,
@@ -21,6 +24,8 @@ from flatbands.bands import (
 from flatbands.floquet import FloquetMatrix
 from flatbands.graph import Labeling, PeriodicGraph
 from flatbands.laurent import LaurentPoly
+
+from conftest import LIEB_EDGES
 
 
 def test_evaluate_entry():
@@ -74,6 +79,73 @@ def test_hermitian_eigh_pauli_y():
         for i in range(2):
             residual = sum(m[i][j] * vec[j] for j in range(2)) - lam * vec[i]
             assert abs(residual) < 1e-10
+
+
+def embedding_eigh(matrix):
+    """Oracle: real Jacobi on [[A, -B], [B, A]], every second eigenvalue kept."""
+    n = len(matrix)
+    embed = [
+        [matrix[i][j].real if j < n else -matrix[i][j - n].imag for j in range(2 * n)]
+        if i < n
+        else [matrix[i - n][j].imag if j < n else matrix[i - n][j - n].real
+              for j in range(2 * n)]
+        for i in range(2 * n)
+    ]
+    values, _ = symmetric_jacobi(embed)
+    return values[::2]
+
+
+def random_hermitian(rng, n):
+    m = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = complex(rng.uniform(-3, 3))
+        for j in range(i + 1, n):
+            m[i][j] = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            m[j][i] = m[i][j].conjugate()
+    return m
+
+
+def lieb_at(*thetas):
+    graph = PeriodicGraph(2, 3, LIEB_EDGES)
+    labeling = Labeling(graph, [0, 0, 0], {e: 1 for e in graph.sorted_edges()})
+    return floquet_at(FloquetMatrix(graph, labeling), [cmath.exp(1j * th) for th in thetas])
+
+
+HERMITIAN_CASES = {
+    **{f"random{n}": random_hermitian(random.Random(f"hermitian/{n}"), n)
+       for n in range(1, 9)},
+    "diagonal": [[2.5 + 0j, 0j, 0j], [0j, -1 + 0j, 0j], [0j, 0j, 0.25 + 0j]],
+    "zero": [[0j] * 4 for _ in range(4)],
+    # 2 I + v v^H with v = (1, i, 1): eigenvalue 2 twice, then 5
+    "repeated": [[3 + 0j, -1j, 1 + 0j], [1j, 3 + 0j, 1j], [1 + 0j, -1j, 3 + 0j]],
+    "lieb_gamma": lieb_at(0.0, 0.0),
+    # all three Lieb bands touch at (pi, pi)
+    "lieb_m": lieb_at(math.pi, math.pi),
+}
+
+
+@pytest.mark.parametrize("case", HERMITIAN_CASES)
+def test_hermitian_eigh_matches_embedding_oracle(case):
+    matrix = HERMITIAN_CASES[case]
+    n = len(matrix)
+    norm = math.sqrt(sum(abs(x) ** 2 for row in matrix for x in row))
+    values, vectors = hermitian_eigh(matrix)
+    assert values == sorted(values)
+    for got, want in zip(values, embedding_eigh(matrix), strict=True):
+        assert abs(got - want) <= 1e-12 * norm
+    for lam, vec in zip(values, vectors):
+        for i in range(n):
+            residual = sum(matrix[i][j] * vec[j] for j in range(n)) - lam * vec[i]
+            assert abs(residual) < 1e-9
+    for k in range(n):
+        for m in range(n):
+            inner = sum(x.conjugate() * y for x, y in zip(vectors[k], vectors[m]))
+            assert abs(inner - (1.0 if k == m else 0.0)) < 1e-9
+
+
+def test_hermitian_eigh_repeated_eigenvalue():
+    values, _ = hermitian_eigh(HERMITIAN_CASES["repeated"])
+    assert all(abs(got - want) < 1e-12 for got, want in zip(values, [2.0, 2.0, 5.0]))
 
 
 def test_hermitian_defect():
@@ -160,3 +232,74 @@ def test_write_csv(lieb_graph, lieb_labeling):
     assert len(lines) == 1 + 4
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+
+
+def chain_with_hopping():
+    """Two orbits in d = 1 with complex off-diagonal entries on the torus."""
+    g = PeriodicGraph(1, 2, [(0, 1, (0,)), (0, 1, (1,)), (0, 0, (1,)), (1, 1, (2,))])
+    lab = Labeling(
+        g,
+        [Fraction(1, 3), Fraction(-2, 5)],
+        {(0, 1, (0,)): Fraction(3, 2), (0, 1, (1,)): Fraction(-1, 4),
+         (0, 0, (1,)): Fraction(2, 7), (1, 1, (2,)): Fraction(5, 6)},
+    )
+    return g, lab
+
+
+def pointwise_bands(graph, labeling, resolution):
+    """Reference: evaluate and diagonalize at every grid point."""
+    matrix = FloquetMatrix(graph, labeling)
+    n = graph.num_orbits
+    angles = [2.0 * math.pi * k / resolution for k in range(resolution)]
+    rows = []
+    for point in product(angles, repeat=graph.dimension):
+        numeric = floquet_at(matrix, [cmath.exp(1j * th) for th in point])
+        for i in range(n):
+            for j in range(i, n):
+                mean = 0.5 * (numeric[i][j] + numeric[j][i].conjugate())
+                numeric[i][j] = mean
+                numeric[j][i] = mean.conjugate()
+        rows.append(hermitian_eigh(numeric)[0])
+    return rows
+
+
+@pytest.mark.parametrize("resolution", [5, 6])
+@pytest.mark.parametrize("case", ["chain", "lieb"])
+def test_sample_bands_matches_pointwise_solve(case, resolution, lieb_graph, lieb_labeling):
+    graph, labeling = chain_with_hopping() if case == "chain" else (lieb_graph, lieb_labeling)
+    sample = sample_bands(graph, labeling, resolution=resolution)
+    reference = pointwise_bands(graph, labeling, resolution)
+    assert len(sample.bands) == len(reference) == resolution ** graph.dimension
+    for got, want in zip(sample.bands, reference):
+        for x, y in zip(got, want, strict=True):
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+    # rows k and -k mod R are the same band tuple
+    d = graph.dimension
+    for flat, index in enumerate(product(range(resolution), repeat=d)):
+        mirror = 0
+        for k in index:
+            mirror = mirror * resolution + (-k % resolution)
+        assert sample.bands[flat] == sample.bands[mirror]
+
+
+@pytest.mark.parametrize("dimension, resolution, solves", [(1, 64, 33), (2, 16, 130), (1, 7, 4)])
+def test_sample_bands_solves_each_opposite_pair_once(monkeypatch, dimension, resolution, solves):
+    if dimension == 1:
+        graph, labeling = chain_with_hopping()
+    else:
+        graph = PeriodicGraph(2, 3, LIEB_EDGES)
+        labeling = Labeling(graph, [0, 0, 0], {e: 1 for e in graph.sorted_edges()})
+    calls = {"eval": 0, "eigh": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    # the module-level names are the seams that tracing wraps
+    monkeypatch.setattr(bands, "floquet_at", counted("eval", bands.floquet_at))
+    monkeypatch.setattr(bands, "hermitian_eigh", counted("eigh", bands.hermitian_eigh))
+    sample = sample_bands(graph, labeling, resolution=resolution)
+    assert len(sample.grid) == resolution ** dimension
+    assert calls == {"eval": solves, "eigh": solves}

@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatbands.graph import PeriodicGraph
 from flatbands.graphio import (
     GraphFormatError,
+    GraphSpec,
     graph_to_document,
     load_graph_file,
     load_graph_text,
@@ -149,6 +151,9 @@ def test_load_graph_text_bad_json():
             {"from": "1", "to": "1", "offset": [0, 0]}), "loop edge"),
         (lambda d: d["edges"].append(
             {"from": "2", "to": "1", "offset": [0, 0]}), "duplicate edge class"),
+        (lambda d: d.update(edges=5), "edges must be a list"),
+        (lambda d: d.update(edges="nope"), "edges must be a list"),
+        (lambda d: d.update(edges={"from": "1"}), "edges must be a list"),
     ],
 )
 def test_parse_errors(mangle, message):
@@ -170,3 +175,46 @@ def test_json_ready(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert load_graph_file(path).graph == g
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+# Near-valid documents, so the fuzzing reaches the orbit and edge checks.
+ORBIT_IDS = st.sampled_from(["1", "2", "3"])
+ORBIT = st.fixed_dictionaries(
+    {"id": ORBIT_IDS}, optional={"potential": st.integers(-2, 2) | JSON_VALUES}
+)
+EDGE = st.fixed_dictionaries(
+    {
+        "from": ORBIT_IDS | JSON_VALUES,
+        "to": ORBIT_IDS,
+        "offset": st.lists(st.integers(-2, 2), min_size=1, max_size=2) | JSON_VALUES,
+    },
+    optional={"weight": st.integers(-2, 2) | JSON_VALUES},
+)
+GRAPH_LIKE = st.fixed_dictionaries(
+    {
+        "dimension": st.integers(1, 2) | JSON_VALUES,
+        "orbits": st.lists(ORBIT, min_size=1, max_size=3, unique_by=lambda o: o["id"])
+        | JSON_VALUES,
+        "edges": st.lists(EDGE | JSON_VALUES, max_size=4) | JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | GRAPH_LIKE)
+@example({"dimension": 1, "orbits": [{"id": "1"}], "edges": 5})
+@example({"dimension": 1, "orbits": [{"id": "1"}], "edges": None})
+def test_any_json_value_parses_or_raises_format_error(document):
+    try:
+        spec = parse_graph_spec(document)
+    except GraphFormatError:
+        return
+    assert isinstance(spec, GraphSpec)
