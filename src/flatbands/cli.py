@@ -36,6 +36,7 @@ from .unipoly import Coeffs
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 EXIT_FLAT_BAND = 10
 EXIT_INCONSISTENT = 11
 
@@ -488,6 +489,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (ArithmeticError, AssertionError) as exc:
+        # a broken invariant guard: report it as a bug, not a traceback
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

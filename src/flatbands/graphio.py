@@ -33,6 +33,24 @@ class GraphFormatError(ValueError):
     """Raised for structurally invalid graph files, with location context."""
 
 
+# Fraction("1e<k>") builds 10**k, which for a huge k runs for hours.  The
+# bound is the interpreter's default digit limit for int(str).
+MAX_DECIMAL_EXPONENT = 4300
+
+
+def _exponent_out_of_range(text: str) -> bool:
+    """Whether the decimal exponent of `text` exceeds MAX_DECIMAL_EXPONENT.
+
+    Reads the digits after the "e" as a string, so an exponent of any
+    length is judged without converting it to an int first.
+    """
+    _, marker, exponent = text.strip().lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if not marker or not digits.isdecimal():
+        return False
+    return len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits) > MAX_DECIMAL_EXPONENT
+
+
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise GraphFormatError(f"{where}: expected a rational, got a boolean")
@@ -43,6 +61,10 @@ def parse_rational(value, where: str) -> Fraction:
             f"{where}: floats are not accepted; write the value as a string like \"3/10\""
         )
     if isinstance(value, str):
+        if _exponent_out_of_range(value):
+            raise GraphFormatError(
+                f"{where}: decimal exponent beyond +/-{MAX_DECIMAL_EXPONENT} is not accepted"
+            )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -4,6 +4,13 @@ Points live in Z^(d+1): the first d coordinates are momentum exponents
 (the z-part) and the last is the lam exponent.  Hull computations are
 exact; extreme points come from rational linear programming rather than
 floating-point geometry, so no tolerance ever enters.
+
+The LP is the expensive step, so `extreme_points` runs it on as few
+points as it can.  A support point that is the midpoint of two other
+support points is never a vertex, and integer arithmetic finds all of
+those in one pass.  Each survivor is then tested against the points still
+in the running, a set that shrinks as non-vertices drop out; it always
+holds every vertex, so it decides each point as the full set would.
 """
 
 from __future__ import annotations
@@ -147,14 +154,34 @@ def _phase1_feasible(cols: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]
 
 
 def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
-    """Points not expressible as convex combinations of the others."""
+    """Points not expressible as convex combinations of the others.
+
+    Two exact steps keep the LP count near the vertex count:
+
+    - Midpoints go first.  If p = (a + b)/2 for support points a != b,
+      then p is in conv(S without p) and is not a vertex.  In integers,
+      p is such a midpoint exactly when the reflection 2p - a of some
+      other point a is in the support.
+    - Every other point is tested with `in_convex_hull` against the
+      current candidates except itself, and dropped when inside.  The
+      candidates always contain the vertices V of conv(S): a vertex is
+      never inside the hull of other points.  For a non-vertex p,
+      conv(S without p) = conv(V) lies in conv(candidates without p),
+      so p is found inside either way; for a vertex neither hull holds
+      it.  The answer is therefore the one the full set would give.
+    """
     pts = sorted(set(points))
-    out = []
-    for p in pts:
-        others = [q for q in pts if q != p]
-        if not others or not in_convex_hull(p, others):
-            out.append(p)
-    return frozenset(out)
+    present = set(pts)
+    candidates = [
+        p for p in pts
+        if not any(a != p and tuple(2 * x - y for x, y in zip(p, a)) in present
+                   for a in pts)
+    ]
+    for p in list(candidates):
+        others = [q for q in candidates if q != p]
+        if others and in_convex_hull(p, others):
+            candidates.remove(p)
+    return frozenset(candidates)
 
 
 def minkowski_sum(a: Iterable[Point], b: Iterable[Point]) -> frozenset[Point]:

@@ -74,27 +74,6 @@ def resultant(f: Sequence, g: Sequence) -> Fraction:
 # cut-edge certificate
 
 
-def _is_cut_edge_multigraph(num_orbits: int, edges: list[tuple[int, int]], index: int) -> bool:
-    """Whether removing edge `index` disconnects its endpoints."""
-    a, b = edges[index]
-    adjacency: dict[int, list[int]] = {v: [] for v in range(num_orbits)}
-    for k, (i, j) in enumerate(edges):
-        if k != index:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    seen = {a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if v == b:
-            return False
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return True
-
-
 def evaluate_z(poly, z0: Sequence) -> Coeffs:
     """Specialize the momentum variables of a Laurent polynomial.
 
@@ -131,25 +110,32 @@ def cut_edge_certificate(graph: PeriodicGraph, subset: Sequence[int],
         raise ValueError(f"subset must omit exactly one orbit, got {len(members)} of {n}")
     if not is_support_zero(graph, members):
         raise ValueError("subset carries a nonzero offset; not support-zero as given")
-    quotient = quotient_graph(graph)
-    edges = list(quotient.multi_edges)
-    block = {0}
-    stack = [0]
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in block:
-                block.add(w)
-                stack.append(w)
-    if len(block) != n:
+    # A connected multigraph has only bridges exactly when no edge (a
+    # self-class included) closes a cycle, so one union-find pass decides
+    # both connectivity and the bridge condition.
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    cycle_edge = None
+    blocks = n
+    for k, (i, j) in enumerate(quotient_graph(graph).multi_edges):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            blocks -= 1
+        elif cycle_edge is None:
+            cycle_edge = k
+    if blocks != 1:
         raise ValueError("quotient graph is not connected")
-    for k, (i, j) in enumerate(edges):
-        if i == j or not _is_cut_edge_multigraph(n, edges, k):
-            raise ValueError(f"non-bridge edge found in the quotient graph: {graph.sorted_edges()[k]}")
+    if cycle_edge is not None:
+        raise ValueError(
+            f"non-bridge edge found in the quotient graph: {graph.sorted_edges()[cycle_edge]}"
+        )
     for edge, weight in labeling.weights.items():
         if weight == 0:
             raise ValueError(f"zero weight on {edge}")

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from flatbands import cli
 from flatbands.cli import (
     EXIT_FLAT_BAND,
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     format_unipoly,
     main,
@@ -222,6 +224,35 @@ class TestErrorPaths:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_huge_exponent_is_an_input_error(self, capsys, tmp_path):
+        path = write_graph(tmp_path, "huge.json", {
+            "dimension": 1,
+            "orbits": [{"id": "a", "potential": "1e1000000000"}],
+        })
+        code, _, err = run_cli(capsys, "analyze", path)
+        assert code == EXIT_INPUT_ERROR
+        assert "exponent" in err
+
+    @pytest.mark.parametrize("error", [
+        ArithmeticError("phase-1 simplex became unbounded"),
+        ZeroDivisionError("inexact division"),
+        AssertionError("support-zero subset produced a z-dependent dispersion"),
+        AssertionError(),
+    ])
+    def test_internal_errors_get_their_own_exit_code(self, capsys, monkeypatch,
+                                                      lieb_json_path, error):
+        def broken(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        code, out, err = run_cli(capsys, "analyze", lieb_json_path)
+        assert code == EXIT_INTERNAL_ERROR == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal error: ")
+        assert str(error) in err
+        assert "Traceback" not in err
 
 
 def test_module_entry_point(lieb_json_path):

@@ -1,6 +1,7 @@
 """Graph file parsing, validation errors, and round-trip serialization."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,20 @@ class TestParseRational:
     def test_rejected_forms(self, bad):
         with pytest.raises(GraphFormatError):
             parse_rational(bad, "x")
+
+    def test_decimal_exponents(self):
+        assert parse_rational("2.5e-3", "x") == Fraction(1, 400)
+        assert parse_rational("1e3", "x") == 1000
+        assert parse_rational("1E+4300", "x") == 10 ** 4300
+
+    @pytest.mark.parametrize("huge", [
+        "1e1000000000", "1e-1000000000", "1e" + "9" * 5000, "1E+4301", " 3.5e-4301 ",
+    ])
+    def test_huge_exponent_is_refused_promptly(self, huge):
+        start = time.perf_counter()
+        with pytest.raises(GraphFormatError, match="exponent"):
+            parse_rational(huge, "x")
+        assert time.perf_counter() - start < 0.1
 
 
 def test_parse_lieb(lieb_graph):

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from flatbands import polytope
 from flatbands.floquet import FloquetMatrix
 from flatbands.graph import PeriodicGraph
 from flatbands.polytope import (
+    _hull_cycle_2d,
     extreme_points,
     face_of,
     facial_independence_witness,
@@ -229,3 +231,65 @@ def test_averages_stay_inside(pts):
 @settings(max_examples=50, deadline=None)
 def test_minkowski_sum_commutes(a, b):
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
+
+
+def _extreme_points_oracle(points):
+    """Each point against all the others: one LP per point, no shortcuts."""
+    pts = sorted(set(points))
+    return frozenset(
+        p for p in pts
+        if not in_convex_hull(p, [q for q in pts if q != p])
+    )
+
+
+def _point_sets(dim):
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    return st.lists(coords, min_size=1, max_size=14)
+
+
+@given(pts=st.integers(1, 4).flatmap(_point_sets))
+@example(pts=[(2, 2, 2)] * 3)
+@example(pts=[(0, 0), (1, 1), (2, 2), (3, 3)])
+@example(pts=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+@example(pts=sorted(LIEB_SUPPORT))
+@settings(max_examples=200, deadline=None)
+def test_extreme_points_matches_oracle(pts):
+    assert extreme_points(pts) == _extreme_points_oracle(pts)
+
+
+@given(pts=_point_sets(2))
+@settings(max_examples=100, deadline=None)
+def test_extreme_points_match_the_2d_hull_cycle(pts):
+    assert extreme_points(pts) == frozenset(_hull_cycle_2d(pts))
+
+
+def _count_lp_calls(monkeypatch):
+    """Record (point, number of hull points) for each LP extreme_points runs."""
+    calls = []
+    lp = polytope.in_convex_hull
+
+    def counting(point, points):
+        points = list(points)
+        calls.append((point, len(points)))
+        return lp(point, points)
+
+    monkeypatch.setattr(polytope, "in_convex_hull", counting)
+    return calls
+
+
+def test_grid_hull_runs_one_lp_per_corner(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    assert extreme_points(grid) == {(0, 0), (0, 4), (4, 0), (4, 4)}
+    # every LP runs against the three other corners, not the whole grid
+    assert sorted(n for _, n in calls) == [3, 3, 3, 3]
+
+
+def test_box_hull_runs_one_lp_per_corner(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    box = [(x, y, z) for x in range(7) for y in range(6) for z in range(6)]
+    corners = {(x, y, z) for x in (0, 6) for y in (0, 5) for z in (0, 5)}
+    assert len(box) == 252
+    assert extreme_points(box) == corners
+    assert sorted(p for p, _ in calls) == sorted(corners)
+    assert {n for _, n in calls} == {7}

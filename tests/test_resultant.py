@@ -161,6 +161,12 @@ class TestCertificateHypotheses:
         with pytest.raises(ValueError, match="non-bridge"):
             cut_edge_certificate(g, [1, 2, 3], lab, (1,))
 
+    def test_parallel_classes_are_rejected(self):
+        g = PeriodicGraph(1, 3, [(0, 1, (1,)), (0, 1, (2,)), (1, 2, (0,))])
+        lab = Labeling(g, [0, 0, 0], {e: 1 for e in g.sorted_edges()})
+        with pytest.raises(ValueError, match=r"non-bridge edge .*\(0, 1, \(2,\)\)"):
+            cut_edge_certificate(g, [1, 2], lab, (1,))
+
     def test_self_class_is_rejected(self):
         g = PeriodicGraph(1, 3, [(0, 1, (0,)), (1, 2, (0,)), (0, 0, (1,))])
         lab = Labeling(g, [0, 0, 0], {e: 1 for e in g.sorted_edges()})
