@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
                     write_csv)
-from .flatband import (FlatBandReport, flat_bands_of, generic_flat_band_decision)
+from .flatband import (FlatBandReport, flat_bands, flat_bands_of,
+                       generic_flat_band_decision)
 from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import (Labeling, find_support_zero_component, has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
@@ -180,7 +182,8 @@ def cmd_analyze(args) -> int:
     spec = load_graph_file(args.file)
     labeling = resolve_labeling(spec, args.labels, args.seed)
     matrix = FloquetMatrix(spec.graph, labeling)
-    report = flat_bands_of(spec.graph, labeling)
+    dispersion = matrix.dispersion()
+    report = flat_bands(dispersion)
     exit_code = EXIT_FLAT_BAND if report.has_flat_band else EXIT_OK
     document = {
         "command": "analyze",
@@ -191,7 +194,7 @@ def cmd_analyze(args) -> int:
         "floquet_matrix": [
             [format_poly(entry) for entry in row] for row in matrix.matrix.entries
         ],
-        "dispersion": format_poly(matrix.dispersion()),
+        "dispersion": format_poly(dispersion),
         "flat_bands": _flatband_section(report),
         "exit_code": exit_code,
     }
@@ -360,9 +363,28 @@ def cmd_verify_theorem(args) -> int:
     return exit_code
 
 
+def _check_float_labels(spec: GraphSpec, labeling: Labeling) -> None:
+    """Refuse labels that have no finite float value before sampling."""
+    labels = [
+        (f"potential of orbit {spec.orbit_ids[v]}", value)
+        for v, value in enumerate(labeling.potentials)
+    ] + [
+        (f"weight of edge {_edge_label(spec.orbit_ids, e)}", labeling.weights[e])
+        for e in spec.graph.sorted_edges()
+    ]
+    for name, value in labels:
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise GraphFormatError(f"{name} is outside the float range that bands samples in")
+
+
 def cmd_bands(args) -> int:
     spec = load_graph_file(args.file)
     labeling = resolve_labeling(spec, args.labels, args.seed, tame=True)
+    _check_float_labels(spec, labeling)
     sample = sample_bands(spec.graph, labeling, resolution=args.resolution)
     flags = numeric_flat_flags(sample, args.tol)
     exact = flat_bands_of(spec.graph, labeling)

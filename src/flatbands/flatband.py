@@ -11,8 +11,9 @@ without ever leaving rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import unipoly
 from .floquet import dispersion_polynomial, induced_dispersion
@@ -41,13 +42,13 @@ class FlatBandReport:
     ``rational_roots`` lists (energy, multiplicity) pairs sorted by
     energy; ``verified`` records, per root, that dividing the dispersion
     by (lam - energy) left no remainder.  Irrational and complex flat
-    bands show up in ``irreducible_factors``.
+    bands show up in ``irreducible_factors``.  These three are computed
+    together on first access and cached, so a caller that only counts
+    flat bands never factors g.
     """
 
     flatband_poly: tuple[Fraction, ...]
-    rational_roots: tuple[tuple[Fraction, int], ...]
-    irreducible_factors: tuple[IrreducibleFactor, ...]
-    verified: tuple[bool, ...]
+    dispersion: LaurentPoly = field(compare=False, repr=False)
 
     @property
     def flat_band_count(self) -> int:
@@ -57,6 +58,37 @@ class FlatBandReport:
     @property
     def has_flat_band(self) -> bool:
         return self.flat_band_count > 0
+
+    @cached_property
+    def _factored(self):
+        roots, others = unipoly.factor_rational(self.flatband_poly)
+        verified = []
+        for root, multiplicity in roots:
+            quotient = self.dispersion
+            ok = True
+            for _ in range(multiplicity):
+                try:
+                    quotient = quotient.divide_by_linear(root)
+                except ValueError:
+                    ok = False
+                    break
+            verified.append(ok)
+        factors = tuple(
+            IrreducibleFactor(coefficients=c, multiplicity=m) for c, m in others
+        )
+        return tuple(roots), factors, tuple(verified)
+
+    @property
+    def rational_roots(self) -> tuple[tuple[Fraction, int], ...]:
+        return self._factored[0]
+
+    @property
+    def irreducible_factors(self) -> tuple[IrreducibleFactor, ...]:
+        return self._factored[1]
+
+    @property
+    def verified(self) -> tuple[bool, ...]:
+        return self._factored[2]
 
 
 def lam_polynomial_at(poly: LaurentPoly, z_part: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -83,8 +115,9 @@ def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
     """All energies whose linear factor divides the dispersion.
 
     The gcd runs over the lam-polynomials attached to each z-monomial,
-    with an early exit once it collapses to 1.  Every rational root is
-    re-verified by synthetic division of the full dispersion.
+    with an early exit once it collapses to 1.  Factoring g, and the
+    re-verification of every rational root by synthetic division of the
+    full dispersion, wait until the report's roots or factors are read.
     """
     degree = _check_monic_in_lam(dispersion)
     z_parts = sorted({key[:-1] for key in dispersion.support()})
@@ -98,26 +131,7 @@ def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
     if len(g) - 1 > degree:
         raise AssertionError("flat-band polynomial exceeds the lam degree")
 
-    roots, others = unipoly.factor_rational(g)
-    verified = []
-    for root, multiplicity in roots:
-        quotient = dispersion
-        ok = True
-        for _ in range(multiplicity):
-            try:
-                quotient = quotient.divide_by_linear(root)
-            except ValueError:
-                ok = False
-                break
-        verified.append(ok)
-    return FlatBandReport(
-        flatband_poly=g,
-        rational_roots=tuple(roots),
-        irreducible_factors=tuple(
-            IrreducibleFactor(coefficients=c, multiplicity=m) for c, m in others
-        ),
-        verified=tuple(verified),
-    )
+    return FlatBandReport(flatband_poly=g, dispersion=dispersion)
 
 
 def flat_bands_of(graph: PeriodicGraph, labeling: Labeling) -> FlatBandReport:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from flatbands import cli
+from flatbands import cli, laurent, unipoly
 from flatbands.cli import (
     EXIT_FLAT_BAND,
     EXIT_INPUT_ERROR,
@@ -202,6 +202,30 @@ class TestBands:
         assert lines[0] == "theta_1,theta_2,band_1,band_2,band_3"
         assert len(lines) == 17
 
+    @pytest.mark.parametrize("field, label", [
+        ("potential", "potential of orbit 1"),
+        ("weight", "weight of edge 1~2@[0]"),
+    ])
+    def test_label_beyond_float_range_is_an_input_error(self, capsys, tmp_path,
+                                                        field, label):
+        document = {
+            "dimension": 1,
+            "orbits": [{"id": "1", "potential": 0}, {"id": "2", "potential": 0}],
+            "edges": [{"from": "1", "to": "2", "offset": [0], "weight": 1},
+                      {"from": "1", "to": "2", "offset": [1], "weight": 1}],
+        }
+        if field == "potential":
+            document["orbits"][0]["potential"] = "1e400"
+        else:
+            document["edges"][0]["weight"] = "-1e400"
+        path = write_graph(tmp_path, "huge.json", document)
+        code, out, err = run_cli(capsys, "bands", path, "--resolution", "4")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"input error: {label} ")
+        assert "Traceback" not in err
+
     def test_resolution_must_be_sane(self, capsys, lieb_json_path):
         code, _, err = run_cli(capsys, "bands", lieb_json_path, "--resolution", "1")
         assert code == EXIT_INPUT_ERROR
@@ -253,6 +277,53 @@ class TestErrorPaths:
         assert err.startswith("internal error: ")
         assert str(error) in err
         assert "Traceback" not in err
+
+
+def _refuse_factoring(p):
+    raise RuntimeError("factor_rational must not run")
+
+
+class TestExactWorkPerCommand:
+    """Each command runs only the exact work its report prints."""
+
+    def test_generic_never_factors(self, capsys, monkeypatch, lieb_json_path):
+        expected = run_cli(capsys, "generic", lieb_json_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(unipoly, "factor_rational", _refuse_factoring)
+            assert run_cli(capsys, "generic", lieb_json_path) == expected
+        assert expected[0] == EXIT_OK
+
+    def test_verify_theorem_never_factors(self, capsys, monkeypatch):
+        argv = ("--json", "verify-theorem", "--count", "5")
+        expected = run_cli(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(unipoly, "factor_rational", _refuse_factoring)
+            assert run_cli(capsys, *argv) == expected
+        assert expected[0] == EXIT_OK
+
+    def test_verify_theorem_does_not_import_sympy(self):
+        # the default sweep meets cubic flat-band polynomials by graph 20
+        code = ("import contextlib, io, sys\n"
+                "from flatbands.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(['verify-theorem', '--count', '20'])\n"
+                "print(code, 'sympy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == [str(EXIT_OK), "False"], proc.stderr
+
+    def test_analyze_takes_one_determinant(self, capsys, monkeypatch, lieb_json_path):
+        calls = []
+        kernel = laurent.det_leibniz
+
+        def counted(matrix):
+            calls.append(matrix.size)
+            return kernel(matrix)
+
+        monkeypatch.setattr(laurent, "det_leibniz", counted)
+        code, _, _ = run_cli(capsys, "analyze", lieb_json_path)
+        assert code == EXIT_FLAT_BAND
+        assert calls == [3]
 
 
 def test_module_entry_point(lieb_json_path):

@@ -72,6 +72,35 @@ def test_repeated_flat_band_multiplicity():
     assert report.flat_band_count == 2
 
 
+def test_factoring_waits_for_the_roots_and_runs_once(monkeypatch, lieb_graph,
+                                                     lieb_labeling):
+    calls = []
+    factor = unipoly.factor_rational
+
+    def counted(p):
+        calls.append(p)
+        return factor(p)
+
+    monkeypatch.setattr(unipoly, "factor_rational", counted)
+    report = flat_bands_of(lieb_graph, lieb_labeling)
+    assert report.has_flat_band and report.flat_band_count == 1
+    assert calls == []
+    assert report.verified == (True,)
+    assert report.rational_roots == ((F(0), 1),)
+    assert report.irreducible_factors == ()
+    assert calls == [(F(0), F(1))]
+
+
+def test_divisibility_check_runs_when_roots_are_read(lieb_graph, lieb_labeling):
+    # a report whose dispersion lacks the flat band fails the check
+    report = flat_bands_of(lieb_graph, lieb_labeling)
+    lam = LaurentPoly.lam(2)
+    forged = type(report)(report.flatband_poly, dispersion=lam - 1)
+    assert forged == report
+    assert forged.rational_roots == ((F(0), 1),)
+    assert forged.verified == (False,)
+
+
 def test_flat_bands_rejects_non_monic():
     z = LaurentPoly.z_var(1, 0)
     lam = LaurentPoly.lam(1)

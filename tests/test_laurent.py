@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatbands import laurent
 from flatbands.laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -187,6 +188,69 @@ def test_leibniz_matches_bareiss(trial):
         [[_random_poly(rng, dimension) for _ in range(n)] for _ in range(n)]
     )
     assert det_leibniz(m) == det_bareiss(m)
+
+
+@st.composite
+def sparse_matrices(draw) -> LaurentMatrix:
+    """Up to 7x7 in d = 1..3 with zero entries, denominators up to 10^6
+    and z-exponents up to +-40, which stretch the packing base.
+
+    Every row has a nonzero entry on one drawn permutation, so most
+    determinants are nonzero, and about one matrix in four gets a zero
+    row.  Rows hold at most three nonzero entries, two from n = 5, so
+    the Bareiss oracle stays within a second.
+    """
+    n = draw(st.integers(1, 7))
+    dimension = draw(st.integers(1, 3))
+    key = st.tuples(*([st.integers(-40, 40)] * dimension), st.integers(0, 2))
+    coeff = st.fractions(min_value=-10**6, max_value=10**6,
+                         max_denominator=10**6).filter(bool)
+    entry = st.dictionaries(key, coeff, min_size=1, max_size=2).map(
+        lambda terms: LaurentPoly(dimension, terms)
+    )
+    diagonal = draw(st.permutations(range(n)))
+    zero_row = draw(st.sampled_from([None] * (3 * n) + list(range(n))))
+    rows = []
+    for i in range(n):
+        extra = draw(st.lists(st.integers(0, n - 1), unique=True,
+                              max_size=2 if n <= 4 else 1))
+        row = [LaurentPoly.zero(dimension)] * n
+        if i != zero_row:
+            for col in {diagonal[i], *extra}:
+                row[col] = draw(entry)
+        rows.append(row)
+    return LaurentMatrix(rows)
+
+
+@given(m=sparse_matrices())
+@settings(max_examples=80, deadline=None)
+def test_integer_leibniz_matches_bareiss(m):
+    assert det_leibniz(m) == det_bareiss(m)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_auto_determinant_runs_leibniz_only(monkeypatch, n):
+    z = LaurentPoly.z_var(1, 0)
+    lam = LaurentPoly.lam(1)
+    rows = [[LaurentPoly.zero(1)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = LaurentPoly.constant(1, Fraction(i, 3)) - lam
+        rows[i][(i + 1) % n] = z
+        rows[(i + 1) % n][i] = LaurentPoly.z_var(1, 0, -1)
+    m = LaurentMatrix(rows)
+    calls = []
+
+    def counted(name, kernel):
+        def wrapper(matrix):
+            calls.append(name)
+            return kernel(matrix)
+        return wrapper
+
+    monkeypatch.setattr(laurent, "det_leibniz", counted("leibniz", det_leibniz))
+    monkeypatch.setattr(laurent, "det_bareiss", counted("bareiss", det_bareiss))
+    result = determinant(m)
+    assert calls == ["leibniz"]
+    assert result == det_bareiss(m)
 
 
 def test_determinant_row_swap_flips_sign():
