@@ -19,7 +19,6 @@ from itertools import product
 from typing import Iterable, Sequence, TextIO
 
 from .floquet import FloquetMatrix
-from .graph import Labeling, PeriodicGraph
 from .laurent import LaurentPoly
 
 _JACOBI_SWEEPS = 50
@@ -171,12 +170,15 @@ class BandSample:
     flatness: tuple[float, ...]
 
 
-def sample_bands(graph: PeriodicGraph, labeling: Labeling, resolution: int = 16
-                 ) -> BandSample:
-    """Band functions of a real labeling sampled at resolution^d points."""
+def sample_bands(matrix: FloquetMatrix, resolution: int = 16) -> BandSample:
+    """Band functions of a real labeling sampled at resolution^d points.
+
+    Takes the Floquet matrix rather than the graph and labeling, so a
+    caller that also wants the exact dispersion builds the matrix once.
+    """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    matrix = FloquetMatrix(graph, labeling)
+    graph = matrix.graph
     n = graph.num_orbits
     angles = [2.0 * math.pi * k / resolution for k in range(resolution)]
     grid = []

@@ -23,8 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
                     write_csv)
-from .flatband import (FlatBandReport, flat_bands, flat_bands_of,
-                       generic_flat_band_decision)
+from .flatband import FlatBandReport, flat_bands, generic_flat_band_decision
 from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import (Labeling, find_support_zero_component, has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
@@ -385,9 +384,10 @@ def cmd_bands(args) -> int:
     spec = load_graph_file(args.file)
     labeling = resolve_labeling(spec, args.labels, args.seed, tame=True)
     _check_float_labels(spec, labeling)
-    sample = sample_bands(spec.graph, labeling, resolution=args.resolution)
+    matrix = FloquetMatrix(spec.graph, labeling)
+    sample = sample_bands(matrix, resolution=args.resolution)
     flags = numeric_flat_flags(sample, args.tol)
-    exact = flat_bands_of(spec.graph, labeling)
+    exact = flat_bands(matrix.dispersion())
     crosschecks = []
     for (root, multiplicity), verified in zip(exact.rational_roots, exact.verified):
         target = float(root)

@@ -2,8 +2,9 @@
 
 Points live in Z^(d+1): the first d coordinates are momentum exponents
 (the z-part) and the last is the lam exponent.  Hull computations are
-exact; extreme points come from rational linear programming rather than
-floating-point geometry, so no tolerance ever enters.
+exact and run in integers: extreme points come from a phase-1 simplex on
+an integer tableau with one common denominator (Edmonds' fraction-free
+pivoting), so no tolerance and no Fraction ever enters.
 
 The LP is the expensive step, so `extreme_points` runs it on as few
 points as it can.  A support point that is the midpoint of two other
@@ -11,6 +12,11 @@ support points is never a vertex, and integer arithmetic finds all of
 those in one pass.  Each survivor is then tested against the points still
 in the running, a set that shrinks as non-vertices drop out; it always
 holds every vertex, so it decides each point as the full set would.
+
+Facial independence witnesses come from principal cofactors: the
+dispersion is affine in each potential p_v with slope the determinant
+of the pencil without row and column v, so one (n-1)-orbit determinant
+per orbit decides whether a face ignores p_v.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from typing import Iterable, Sequence
 
 from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentPoly, WeightVector
-from .sampling import random_labeling, random_rational, rng_for
+from .laurent import LaurentMatrix, LaurentPoly, WeightVector, determinant
+from .sampling import random_labeling, rng_for
 
 Point = tuple[int, ...]
 
@@ -92,12 +98,86 @@ def is_vertical_segment(points: Iterable[Point]) -> bool:
 
 
 def in_convex_hull(point: Sequence[int], points: Iterable[Point]) -> bool:
-    """Exact test for membership of `point` in conv(points)."""
-    cols = [tuple(Fraction(e) for e in q) + (Fraction(1),) for q in points]
-    rhs = tuple(Fraction(e) for e in point) + (Fraction(1),)
-    if not cols:
+    """Exact test for membership of `point` in conv(points).
+
+    Feasibility of sum_j t_j q_j = point, sum_j t_j = 1, t >= 0, decided by
+    a phase-1 simplex with Bland's rule that never leaves the integers.
+    A row with rational entries is first scaled by the lcm of its
+    denominators, which leaves the feasible set unchanged.
+    """
+    pts = list(points)
+    if not pts:
         return False
-    return _phase1_feasible(cols, rhs)
+    rows = [[q[k] for q in pts] + [point[k]] for k in range(len(point))]
+    rows.append([1] * (len(pts) + 1))
+    for k, row in enumerate(rows):
+        if not all(type(x) is int for x in row):
+            values = [Fraction(x) for x in row]
+            scale = math.lcm(*(x.denominator for x in values))
+            rows[k] = [x.numerator * (scale // x.denominator) for x in values]
+    return _phase1_feasible_int(rows)
+
+
+def _phase1_feasible_int(rows: list[list[int]]) -> bool:
+    """Bland's-rule phase 1 on an integer tableau with one denominator.
+
+    ``rows`` holds [A | b].  The tableau [A | I | b] carries integer
+    entries t with actual value t / den (Edmonds' integer-preserving
+    Gauss-Jordan).  Pivoting on t_rc > 0 maps every other row i to
+    (t_rc * t_ij - t_ic * t_rj) / den, an exact division, keeps row r, and
+    sets den = t_rc; the entering test only ever picks t_rc > 0, so den
+    stays positive.  The last row holds den times the reduced costs of the
+    phase-1 objective (1 on each artificial) and is updated like the
+    others, so the entering column is the first one with a negative
+    entry, and the ratio test compares b_i / t_ie by cross-multiplication.
+    Every choice matches `_phase1_feasible` on the same integer input.
+    """
+    m = len(rows)
+    n = len(rows[0]) - 1
+    table = []
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            row = [-a for a in row]
+        unit = [0] * m
+        unit[i] = 1
+        table.append(row[:-1] + unit + row[-1:])
+    # reduced costs with every artificial basic: 1 - 1 = 0 on artificials
+    table.append([-sum(col) for col in zip(*(row[:n] for row in table))]
+                 + [0] * m + [-sum(row[-1] for row in table)])
+    basis = list(range(n, n + m))
+    den = 1
+    while True:
+        entering = next((j for j in range(n + m) if table[m][j] < 0), -1)
+        if entering < 0:
+            break
+        leaving = -1
+        for i in range(m):
+            a = table[i][entering]
+            if a > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                lhs = table[i][-1] * table[leaving][entering]
+                rhs = table[leaving][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving < 0:
+            # unbounded phase-1 cannot happen; defensive
+            raise ArithmeticError("phase-1 simplex became unbounded")
+        pivot_row = table[leaving]
+        pivot = pivot_row[entering]
+        for i, row in enumerate(table):
+            if i == leaving:
+                continue
+            factor = row[entering]
+            if factor:
+                table[i] = [(pivot * a - factor * c) // den
+                            for a, c in zip(row, pivot_row)]
+            elif pivot != den:
+                table[i] = [pivot * a // den for a in row]
+        den = pivot
+        basis[leaving] = entering
+    return all(table[i][-1] == 0 for i in range(m) if basis[i] >= n)
 
 
 def _phase1_feasible(cols: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]) -> bool:
@@ -341,11 +421,15 @@ def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence
                                 ) -> int | None:
     """Orbit whose potential the facial polynomial provably ignores.
 
-    The dispersion is affine in each potential, so comparing the facial
-    polynomial at two distinct values of one potential (all other labels
-    frozen at random draws) decides independence exactly.  Returns the
-    first independent orbit index (0-based), or None when every potential
-    showed up in the face coefficients.
+    Potential p_v enters the pencil only at entry (v, v), so expanding
+    along row v gives D = (L_vv - lam) * C_v + (terms free of p_v), where
+    the principal cofactor C_v is the determinant of the pencil with row
+    and column v deleted.  Changing p_v from a to b changes D by
+    (a - b) * C_v, so the facial polynomial ignores p_v exactly when no
+    term of C_v lies on the face.  The other labels are one random draw
+    from `rng`; orbit v is tested with the single (n-1)-orbit determinant
+    C_v.  Returns the first independent orbit index (0-based), or None
+    when every potential showed up in the face coefficients.
 
     `support_points` should be a generic support estimate; it is computed
     with default settings when omitted.  `w` must pick out a proper
@@ -365,22 +449,17 @@ def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence
 
     base = random_labeling(graph, rng)
     members = descriptor.members
-
-    def facial_at(labeling: Labeling) -> dict[Point, Fraction]:
-        poly = dispersion_polynomial(graph, labeling)
-        return {k: v for k, v in poly.items() if k in members}
-
-    for orbit in range(graph.num_orbits):
-        first = random_rational(rng)
-        second = random_rational(rng)
-        while second == first:
-            second = random_rational(rng)
-        samples = []
-        for value in (first, second):
-            pots = list(base.potentials)
-            pots[orbit] = value
-            samples.append(facial_at(Labeling(graph, pots, base.weights)))
-        if samples[0] == samples[1]:
+    n = graph.num_orbits
+    if n == 1:
+        # the cofactor of a 1 x 1 pencil is the empty determinant, 1
+        return None if (0,) * len(w) in members else 0
+    pencil = FloquetMatrix(graph, base).char_matrix().entries
+    for orbit in range(n):
+        cofactor = determinant(LaurentMatrix(
+            [entry for j, entry in enumerate(row) if j != orbit]
+            for i, row in enumerate(pencil) if i != orbit
+        ))
+        if members.isdisjoint(cofactor.support()):
             return orbit
     return None
 

@@ -286,7 +286,7 @@ def test_criterion_8_numeric_exact_crosscheck(lieb_graph, lieb_labeling):
         graph = corpus_graph(t)
         labeling = tame_real_labeling(graph, rng_for("bands", "labels", t))
         report = flat_bands_of(graph, labeling)
-        sample = sample_bands(graph, labeling, resolution=16)
+        sample = sample_bands(FloquetMatrix(graph, labeling), resolution=16)
         if report.has_flat_band:
             with_flat += 1
             if not all(report.verified):

@@ -164,7 +164,7 @@ def test_lieb_gamma_point_spectrum(lieb_graph, lieb_labeling):
 
 
 def test_sample_bands_lieb(lieb_graph, lieb_labeling):
-    sample = sample_bands(lieb_graph, lieb_labeling, resolution=4)
+    sample = sample_bands(FloquetMatrix(lieb_graph, lieb_labeling), resolution=4)
     assert len(sample.grid) == 16
     assert all(row == tuple(sorted(row)) for row in sample.bands)
     assert sample.flatness[1] < 1e-12  # the middle band is exactly flat
@@ -174,17 +174,17 @@ def test_sample_bands_lieb(lieb_graph, lieb_labeling):
 
 def test_sample_bands_validates_resolution(lieb_graph, lieb_labeling):
     with pytest.raises(ValueError):
-        sample_bands(lieb_graph, lieb_labeling, resolution=1)
+        sample_bands(FloquetMatrix(lieb_graph, lieb_labeling), resolution=1)
 
 
 def test_numeric_flat_flags_tolerance_validation(lieb_graph, lieb_labeling):
-    sample = sample_bands(lieb_graph, lieb_labeling, resolution=2)
+    sample = sample_bands(FloquetMatrix(lieb_graph, lieb_labeling), resolution=2)
     with pytest.raises(ValueError):
         numeric_flat_flags(sample, 0.0)
 
 
 def test_flat_energy_presence(lieb_graph, lieb_labeling):
-    sample = sample_bands(lieb_graph, lieb_labeling, resolution=4)
+    sample = sample_bands(FloquetMatrix(lieb_graph, lieb_labeling), resolution=4)
     assert flat_energy_presence(sample, 0.0)
     assert not flat_energy_presence(sample, 0.5)
     assert not flat_energy_presence(sample, 0.0, multiplicity=2)
@@ -207,7 +207,7 @@ def test_flat_energy_survives_band_crossing():
         [Fraction(9, 16), Fraction(-1, 16), Fraction(27, 16)],
         {(0, 2, (0,)): Fraction(15, 16), (2, 2, (1,)): Fraction(19, 16)},
     )
-    sample = sample_bands(g, lab, resolution=16)
+    sample = sample_bands(FloquetMatrix(g, lab), resolution=16)
     assert numeric_flat_flags(sample, 1e-8) == []
     assert flat_energy_presence(sample, -1.0 / 16.0)
     assert not flat_energy_presence(sample, -1.0 / 16.0, multiplicity=2)
@@ -216,7 +216,7 @@ def test_flat_energy_survives_band_crossing():
 def test_one_band_cosine_chain():
     g = PeriodicGraph(1, 1, [(0, 0, (1,))])
     lab = Labeling(g, [0], {(0, 0, (1,)): 1})
-    sample = sample_bands(g, lab, resolution=8)
+    sample = sample_bands(FloquetMatrix(g, lab), resolution=8)
     # band is 2 cos(theta): spread 4, extremes hit on the grid
     assert sample.flatness[0] == pytest.approx(4.0, abs=1e-12)
     for point, row in zip(sample.grid, sample.bands):
@@ -224,7 +224,7 @@ def test_one_band_cosine_chain():
 
 
 def test_write_csv(lieb_graph, lieb_labeling):
-    sample = sample_bands(lieb_graph, lieb_labeling, resolution=2)
+    sample = sample_bands(FloquetMatrix(lieb_graph, lieb_labeling), resolution=2)
     out = io.StringIO()
     write_csv(sample, out)
     lines = out.getvalue().strip().splitlines()
@@ -267,7 +267,7 @@ def pointwise_bands(graph, labeling, resolution):
 @pytest.mark.parametrize("case", ["chain", "lieb"])
 def test_sample_bands_matches_pointwise_solve(case, resolution, lieb_graph, lieb_labeling):
     graph, labeling = chain_with_hopping() if case == "chain" else (lieb_graph, lieb_labeling)
-    sample = sample_bands(graph, labeling, resolution=resolution)
+    sample = sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
     reference = pointwise_bands(graph, labeling, resolution)
     assert len(sample.bands) == len(reference) == resolution ** graph.dimension
     for got, want in zip(sample.bands, reference):
@@ -300,6 +300,6 @@ def test_sample_bands_solves_each_opposite_pair_once(monkeypatch, dimension, res
     # the module-level names are the seams that tracing wraps
     monkeypatch.setattr(bands, "floquet_at", counted("eval", bands.floquet_at))
     monkeypatch.setattr(bands, "hermitian_eigh", counted("eigh", bands.hermitian_eigh))
-    sample = sample_bands(graph, labeling, resolution=resolution)
+    sample = sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
     assert len(sample.grid) == resolution ** dimension
     assert calls == {"eval": solves, "eigh": solves}

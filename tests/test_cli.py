@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from flatbands import cli, laurent, unipoly
+from flatbands.floquet import FloquetMatrix
 from flatbands.cli import (
     EXIT_FLAT_BAND,
     EXIT_INPUT_ERROR,
@@ -324,6 +325,21 @@ class TestExactWorkPerCommand:
         code, _, _ = run_cli(capsys, "analyze", lieb_json_path)
         assert code == EXIT_FLAT_BAND
         assert calls == [3]
+
+    def test_bands_builds_one_floquet_matrix(self, capsys, monkeypatch, lieb_json_path):
+        builds = []
+        init = FloquetMatrix.__init__
+
+        def counted(self, graph, labeling):
+            builds.append(graph.num_orbits)
+            init(self, graph, labeling)
+
+        monkeypatch.setattr(FloquetMatrix, "__init__", counted)
+        code, out, _ = run_cli(capsys, "--json", "bands", lieb_json_path,
+                               "--resolution", "4")
+        assert code == EXIT_OK
+        assert json.loads(out)["exact_crosscheck"][0]["consistent"] is True
+        assert builds == [3]
 
 
 def test_module_entry_point(lieb_json_path):

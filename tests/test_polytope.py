@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatbands import polytope
-from flatbands.floquet import FloquetMatrix
-from flatbands.graph import PeriodicGraph
+from flatbands import laurent, polytope
+from flatbands.floquet import FloquetMatrix, dispersion_polynomial
+from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
 from flatbands.polytope import (
     _hull_cycle_2d,
+    _phase1_feasible,
     extreme_points,
     face_of,
     facial_independence_witness,
@@ -25,7 +26,7 @@ from flatbands.polytope import (
     sigma_support_check,
     vertical_faces,
 )
-from flatbands.sampling import random_labeling, rng_for
+from flatbands.sampling import random_labeling, random_rational, rng_for
 
 LIEB_SUPPORT = {
     (0, 0, 3),
@@ -191,6 +192,124 @@ class TestFacialIndependenceWitness:
             facial_independence_witness(g, (1, 0), random.Random(0), support_points=pts)
 
 
+def _two_sample_witness(graph, w, rng, support_points):
+    """Oracle: compare the facial polynomial at two values of each potential.
+
+    The other labels stay at one random draw; this is the full-dispersion
+    test that the principal cofactor replaces.
+    """
+    members = face_of(set(support_points), w).members
+    base = random_labeling(graph, rng)
+
+    def facial_at(labeling):
+        poly = dispersion_polynomial(graph, labeling)
+        return {k: v for k, v in poly.items() if k in members}
+
+    for orbit in range(graph.num_orbits):
+        first = random_rational(rng)
+        second = random_rational(rng)
+        while second == first:
+            second = random_rational(rng)
+        samples = []
+        for value in (first, second):
+            pots = list(base.potentials)
+            pots[orbit] = value
+            samples.append(facial_at(Labeling(graph, pots, base.weights)))
+        if samples[0] == samples[1]:
+            return orbit
+    return None
+
+
+@st.composite
+def _witness_graphs(draw):
+    """Graphs with n = 1..5, d = 1..2: random classes plus a refittable block.
+
+    The block's offsets are differences of per-orbit shifts, so it carries
+    flat bands for every labeling and a vertical piece in the support.
+    """
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5))
+    block = draw(st.integers(0, n))
+    core = n - block
+    offsets = st.tuples(*[st.integers(-1, 1)] * d)
+    edges = set()
+
+    def add(i, j, a):
+        if i != j or any(a):
+            edges.add(canonicalize_edge(i, j, a))
+
+    if core:
+        orbit = st.integers(0, core - 1)
+        for i, j, a in draw(st.lists(st.tuples(orbit, orbit, offsets), max_size=7)):
+            add(i, j, a)
+    shifts = draw(st.lists(offsets, min_size=block, max_size=block))
+    for k in range(1, block):
+        parent = draw(st.integers(0, k - 1))
+        add(core + parent, core + k,
+            tuple(b - a for a, b in zip(shifts[parent], shifts[k])))
+    return PeriodicGraph(d, n, sorted(edges))
+
+
+@given(graph=_witness_graphs())
+@example(graph=PeriodicGraph(1, 1, [(0, 0, (1,))]))
+@example(graph=PeriodicGraph(2, 3, [(0, 1, (0, 0)), (1, 2, (0, 0)),
+                                    (0, 1, (1, 0)), (1, 2, (0, -1))]))
+# a dispersive orbit beside a planted two-orbit block
+@example(graph=PeriodicGraph(1, 3, [(0, 0, (1,)), (0, 1, (0,)), (1, 2, (1,))]))
+@settings(max_examples=200, deadline=None)
+def test_cofactor_witness_matches_two_sample_oracle(graph):
+    pts = generic_support(graph, trials=5, seed=0).points
+    if is_vertical_segment(pts):
+        return
+    for k, face in enumerate(vertical_faces(pts)):
+        w = face.normal.components
+        got = facial_independence_witness(
+            graph, w, rng_for("witness", k), support_points=pts)
+        assert got == _two_sample_witness(graph, w, rng_for("witness", k), pts)
+
+
+def test_cofactor_witness_on_one_orbit():
+    # no generic support of a one-orbit graph has a vertical face, so the
+    # 1 x 1 case is reached through hand-made supports
+    g = PeriodicGraph(1, 1, [(0, 0, (1,))])
+    for support, w, expected in (
+        ({(0, 1), (0, 2), (1, 0)}, (1, 0), 0),
+        ({(0, 0), (0, 1), (1, 0)}, (1, 0), None),
+    ):
+        got = facial_independence_witness(g, w, random.Random(0), support_points=support)
+        assert got == expected
+        assert _two_sample_witness(g, w, random.Random(0), support) == expected
+
+
+def test_witness_builds_one_matrix_and_takes_n_minus_1_cofactors(monkeypatch, lieb_graph):
+    pts = generic_support(lieb_graph, trials=5, seed=0).points
+    faces = vertical_faces(pts)
+    builds = []
+    sizes = []
+    init = FloquetMatrix.__init__
+    kernel = laurent.det_leibniz
+
+    def counted_init(self, graph, labeling):
+        builds.append(graph.num_orbits)
+        init(self, graph, labeling)
+
+    def counted_kernel(matrix):
+        sizes.append(matrix.size)
+        return kernel(matrix)
+
+    monkeypatch.setattr(FloquetMatrix, "__init__", counted_init)
+    monkeypatch.setattr(laurent, "det_leibniz", counted_kernel)
+    for k, face in enumerate(faces):
+        builds.clear()
+        sizes.clear()
+        witness = facial_independence_witness(
+            lieb_graph, face.normal, rng_for("witness", k), support_points=pts)
+        assert witness is not None
+        assert builds == [3]
+        assert sizes and set(sizes) == {2}
+        assert len(sizes) == witness + 1
+
+
 def test_permutation_product(lieb_graph, lieb_labeling):
     matrix = FloquetMatrix(lieb_graph, lieb_labeling)
     diag = permutation_product(matrix, [0, 1, 2])
@@ -233,13 +352,43 @@ def test_minkowski_sum_commutes(a, b):
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
 
 
+def _fraction_in_hull(point, points):
+    """Hull membership through the Fraction simplex `_phase1_feasible`."""
+    cols = [tuple(Fraction(e) for e in q) + (Fraction(1),) for q in points]
+    if not cols:
+        return False
+    return _phase1_feasible(cols, tuple(Fraction(e) for e in point) + (Fraction(1),))
+
+
 def _extreme_points_oracle(points):
-    """Each point against all the others: one LP per point, no shortcuts."""
+    """Each point against all the others: one Fraction LP per point, no shortcuts."""
     pts = sorted(set(points))
     return frozenset(
         p for p in pts
-        if not in_convex_hull(p, [q for q in pts if q != p])
+        if not _fraction_in_hull(p, [q for q in pts if q != p])
     )
+
+
+def _hull_queries(dim):
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    target = coords | st.tuples(*[fractions] * dim)
+    return st.tuples(target, st.lists(coords, min_size=1, max_size=10))
+
+
+@given(query=st.integers(1, 4).flatmap(_hull_queries))
+@example(query=((1, 1), [(0, 0), (1, 1), (2, 2), (3, 3)]))
+@example(query=((1, 2), [(0, 0), (1, 1), (2, 2), (3, 3)]))
+@example(query=((Fraction(3, 2),) * 2, [(0, 0), (1, 1), (2, 2), (3, 3)]))
+@example(query=((Fraction(1, 2), Fraction(1, 3)), [(0, 0), (1, 1), (2, 2)]))
+@example(query=((2, -1, 3), [(2, -1, 3)]))
+@example(query=((Fraction(5, 2),), [(2,)]))
+@example(query=((Fraction(1, 2),) * 3, [(1, 1, 1), (0, 0, 0), (1, 1, 1), (0, 0, 0)]))
+@example(query=((0, 0, 0, 0), [(1, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0, 0)]))
+@settings(max_examples=300, deadline=None)
+def test_in_convex_hull_matches_fraction_simplex(query):
+    point, pts = query
+    assert in_convex_hull(point, pts) == _fraction_in_hull(point, pts)
 
 
 def _point_sets(dim):
