@@ -2,12 +2,18 @@
 
 This is the numeric cross-check against exact flat-band detection.  The
 Floquet matrix is evaluated at z = (exp(i th_1), .., exp(i th_d)) on a
-uniform grid, symmetrized, and diagonalized by cyclic complex Jacobi
-rotations applied directly to the n x n Hermitian matrix.  Labels are
-real, so L at -th is the entrywise conjugate of L at th and has the same
-spectrum: each pair of opposite grid points is diagonalized once.  No
-external numeric library is used; plain lists of complex numbers are
-plenty at this matrix size.
+uniform grid of R^d points.  Each upper-triangle entry is compiled once
+into (complex coefficient, offset) terms, and the phase of z^a at grid
+index k is exp(2 pi i (k . a) / R), read from one table of R-th roots of
+unity; the lower triangle is the conjugate.  The eigenvalues come from
+Householder reduction to tridiagonal form and implicit QL with Wilkinson
+shifts, without eigenvectors.  Labels are real, so L at -th is the
+entrywise conjugate of L at th and has the same spectrum: each pair of
+opposite grid points is solved once.  The complex Jacobi solver
+(``hermitian_eigh``) and the pointwise ``floquet_at`` stay as the
+reference the tests hold the grid path against.  No external numeric
+library is used; plain lists of complex numbers are plenty at this
+matrix size.
 """
 
 from __future__ import annotations
@@ -16,13 +22,21 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence, TextIO
+from operator import mul
+from typing import Sequence, TextIO
 
 from .floquet import FloquetMatrix
 from .laurent import LaurentPoly
 
 _JACOBI_SWEEPS = 50
 _JACOBI_EPS = 1e-30  # squared off-diagonal mass per element, ~machine precision
+_QL_ITERATIONS = 30  # per eigenvalue; Wilkinson shifts converge in two or three
+_EPS = 2.0 ** -52  # machine epsilon of a float
+
+# Largest resolution^d that sample_bands accepts.  At the limit, `bands`
+# on the Lieb lattice (d = 2, R = 1024) with CSV output took 34 s and
+# 186 MB ru_maxrss on a 2-vCPU host.
+MAX_GRID_POINTS = 1 << 20
 
 
 def evaluate_entry(poly: LaurentPoly, z_values: Sequence[complex]) -> complex:
@@ -155,6 +169,108 @@ def hermitian_eigh(matrix: list[list[complex]]) -> tuple[list[float], list[list[
     return values, vectors
 
 
+def hermitian_eigvalsh(matrix: list[list[complex]]) -> list[float]:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    The matrix is first scaled by 2^-k, with 2^k just above its largest
+    |entry| (or 2^-1021 for a subnormal one).  A power of two scales
+    exactly, so the eigenvalues come back exactly, and no norm below
+    over- or underflows at any float range.
+    A complex Householder step per column then reduces it to Hermitian
+    tridiagonal form (Martin, Reinsch and Wilkinson, 1968), reading only
+    the diagonal and the norms of the subdiagonal; a diagonal phase makes
+    that real symmetric with off-diagonals |e_k|, and implicit QL with
+    Wilkinson shifts solves it (tql1: Bowdler, Martin, Reinsch and
+    Wilkinson, 1968).  Raises ArithmeticError if QL does not converge.
+    """
+    n = len(matrix)
+    largest = max([abs(x) for row in matrix for x in row], default=0.0)
+    if not largest:
+        return [0.0] * n
+    # 2^1021 is the largest power of two that scales a subnormal up
+    exponent = max(math.frexp(largest)[1], -1021)
+    scale = math.ldexp(1.0, -exponent)
+    a = [[x * scale for x in row] for row in matrix]
+    diagonal: list[float] = []
+    off: list[float] = []
+    while len(a) > 1:
+        # column 0 below the diagonal, reflected onto -phase * alpha * e_1
+        x = [row[0] for row in a[1:]]
+        diagonal.append(a[0][0].real)
+        a = [row[1:] for row in a[1:]]
+        alpha = math.hypot(*map(abs, x))
+        off.append(alpha)
+        if len(x) == 1 or not alpha:
+            continue
+        # v = x / alpha + phase * e_1 stays near 1 however small alpha is
+        v = [w / alpha for w in x]
+        r0 = abs(v[0])
+        v[0] += v[0] / r0 if r0 else 1.0
+        h = 1.0 + r0
+        # H A H with H = I - v v^H / h is A - q v^H - v q^H
+        p = [sum(map(mul, row, v)) / h for row in a]
+        cv = [w.conjugate() for w in v]
+        half = sum(map(mul, cv, p)).real / (2.0 * h)
+        q = [pi - half * w for pi, w in zip(p, v)]
+        cq = [w.conjugate() for w in q]
+        a = [
+            [y - qi * cvj - vi * cqj for y, cvj, cqj in zip(row, cv, cq)]
+            for row, qi, vi in zip(a, q, v)
+        ]
+    diagonal.append(a[0][0].real)
+    values = sorted(_tridiagonal_ql(diagonal, off))
+    return [math.ldexp(value, exponent) for value in values]
+
+
+def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
+    """Eigenvalues of the symmetric tridiagonal (d, e) by implicit QL.
+
+    e[i] couples d[i] and d[i + 1]; both lists are overwritten.  This is
+    tql1 with the Wilkinson-type shift from the leading 2 x 2 block; an
+    off-diagonal counts as zero once it is below machine epsilon times
+    the sum of its two diagonal neighbours.
+    """
+    n = len(d)
+    e.append(0.0)
+    hypot, eps = math.hypot, _EPS
+    for l in range(n):
+        for iteration in range(_QL_ITERATIONS + 1):
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            if iteration == _QL_ITERATIONS:
+                raise ArithmeticError("tridiagonal QL did not converge")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
+                if not r:
+                    # the rotation split the block: deflate and restart
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
+
+
 @dataclass(frozen=True)
 class BandSample:
     """Sorted band functions on a uniform torus grid.
@@ -170,43 +286,86 @@ class BandSample:
     flatness: tuple[float, ...]
 
 
+def _compile_upper(matrix: FloquetMatrix):
+    """The upper triangle as terms (complex coefficient, offset slot).
+
+    Returns the distinct z-offsets and the nonzero cells (i, j, terms)
+    with i <= j.  Raises ValueError when an entry holds the spectral
+    variable, or when a row's sum of |coefficients|, a bound on every
+    entry and eigenvalue on the torus, is beyond the float range.
+    """
+    entries = matrix.matrix.entries
+    n = len(entries)
+    slots: dict[tuple[int, ...], int] = {}
+    cells = []
+    reach = [0.0] * n
+    for i in range(n):
+        for j in range(i, n):
+            terms = []
+            for key, coeff in entries[i][j].items():
+                if key[-1] != 0:
+                    raise ValueError("matrix entries must not contain the spectral variable")
+                terms.append((complex(coeff), slots.setdefault(key[:-1], len(slots))))
+            if terms:
+                cells.append((i, j, terms))
+                size = sum(abs(coeff) for coeff, _ in terms)
+                reach[i] += size
+                if j != i:
+                    reach[j] += size
+    if not all(map(math.isfinite, reach)):
+        raise ValueError("Floquet matrix entries reach beyond the float range on the torus")
+    return list(slots), cells
+
+
 def sample_bands(matrix: FloquetMatrix, resolution: int = 16) -> BandSample:
     """Band functions of a real labeling sampled at resolution^d points.
 
     Takes the Floquet matrix rather than the graph and labeling, so a
     caller that also wants the exact dispersion builds the matrix once.
+    Refuses grids of more than MAX_GRID_POINTS points before any work.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     graph = matrix.graph
-    n = graph.num_orbits
+    n, d = graph.num_orbits, graph.dimension
+    if resolution ** d > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a grid of {resolution}^{d} points exceeds the limit of "
+            f"{MAX_GRID_POINTS} grid points"
+        )
+    offsets, cells = _compile_upper(matrix)
     angles = [2.0 * math.pi * k / resolution for k in range(resolution)]
-    grid = []
-    bands = []
-    solved: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for index in product(range(resolution), repeat=graph.dimension):
-        point = tuple(angles[k] for k in index)
+    half = resolution // 2
+    roots = [cmath.exp(1j * th) for th in angles[: half + 1]]
+    roots += [roots[resolution - m].conjugate() for m in range(half + 1, resolution)]
+    place = [resolution ** (d - 1 - t) for t in range(d)]
+    # one buffer for every point: hermitian_eigvalsh works on a scaled copy
+    numeric = [[0j] * n for _ in range(n)]
+    bands: list[tuple[float, ...]] = []
+    for flat, index in enumerate(product(range(resolution), repeat=d)):
         # real labels: L at the opposite point is the conjugate, same spectrum
-        values = solved.get(tuple(-k % resolution for k in index))
-        if values is None:
-            z_values = [cmath.exp(1j * th) for th in point]
-            numeric = floquet_at(matrix, z_values)
-            for i in range(n):
-                for j in range(i, n):
-                    mean = 0.5 * (numeric[i][j] + numeric[j][i].conjugate())
-                    numeric[i][j] = mean
-                    numeric[j][i] = mean.conjugate()
-            values = tuple(hermitian_eigh(numeric)[0])
-            solved[index] = values
-        grid.append(point)
-        bands.append(values)
+        mirror = sum((-k % resolution) * w for k, w in zip(index, place))
+        if mirror < flat:
+            bands.append(bands[mirror])
+            continue
+        phases = [roots[sum(map(mul, index, a)) % resolution] for a in offsets]
+        for i, j, terms in cells:
+            value = 0j
+            for coeff, slot in terms:
+                value += coeff * phases[slot]
+            if i == j:
+                numeric[i][i] = value.real
+            else:
+                numeric[i][j] = value
+                numeric[j][i] = value.conjugate()
+        bands.append(tuple(hermitian_eigvalsh(numeric)))
     flatness = tuple(
         max(row[j] for row in bands) - min(row[j] for row in bands)
         for j in range(n)
     )
     return BandSample(
         resolution=resolution,
-        grid=tuple(grid),
+        grid=tuple(product(angles, repeat=d)),
         bands=tuple(bands),
         flatness=flatness,
     )

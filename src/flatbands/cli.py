@@ -28,7 +28,7 @@ from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import (Labeling, find_support_zero_component, has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, _rational_out)
-from .laurent import LaurentPoly, format_poly
+from .laurent import LaurentPoly, decimal_text, format_poly
 from .polytope import (facial_independence_witness, generic_support,
                        is_vertical_segment, vertical_faces)
 from .sampling import (random_labeling, random_periodic_graph, rng_for,
@@ -55,11 +55,12 @@ def format_unipoly(coeffs: Coeffs, var: str = "lam") -> str:
         if not c:
             continue
         if power == 0:
-            body = str(abs(c))
+            body = decimal_text(abs(c))
         elif abs(c) == 1:
             body = var if power == 1 else f"{var}^{power}"
         else:
-            body = f"{abs(c)}*{var}" if power == 1 else f"{abs(c)}*{var}^{power}"
+            digits = decimal_text(abs(c))
+            body = f"{digits}*{var}" if power == 1 else f"{digits}*{var}^{power}"
         pieces.append(("- " if c < 0 else "+ ") + body)
     head = pieces[0]
     head = "-" + head[2:] if head.startswith("- ") else head[2:]

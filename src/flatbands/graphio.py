@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgeClass, Labeling, PeriodicGraph, canonicalize_edge
+from .laurent import decimal_text
 
 
 class GraphFormatError(ValueError):
@@ -202,7 +203,21 @@ def load_graph_file(path) -> GraphSpec:
 
 
 def _rational_out(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
+    """A JSON-ready rational: an int where possible, else its text.
+
+    Fractions come out as text, and so do ints past the interpreter's
+    int -> str digit limit, since json.dumps and the text report both
+    print ints with str().
+    """
+    if value.denominator == 1:
+        number = int(value)
+        try:
+            str(number)
+        except ValueError:
+            pass
+        else:
+            return number
+    return decimal_text(value)
 
 
 def graph_to_document(graph: PeriodicGraph, orbit_ids=None,

@@ -539,6 +539,23 @@ def determinant(matrix: LaurentMatrix, method: str = "auto") -> LaurentPoly:
 # deterministic serialization
 
 
+def decimal_text(value: int | Fraction) -> str:
+    """``str(value)``, also past the interpreter's int -> str digit limit.
+
+    Exact results can have more digits than that limit (4300 by default)
+    allows: a dispersion cubes the potentials.  Only then is the number
+    written through ``decimal``, which converts ints without the limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{decimal_text(value.numerator)}/{decimal_text(value.denominator)}"
+    import decimal
+    return str(decimal.Decimal(int(value)))
+
+
 def format_poly(poly: LaurentPoly, lam_name: str = "lam") -> str:
     """Render with terms sorted by (lam exponent, z exponents)."""
     if poly.is_zero:
@@ -560,11 +577,11 @@ def format_poly(poly: LaurentPoly, lam_name: str = "lam") -> str:
         elif b != 0:
             factors.append(f"{lam_name}^{b}")
         if not factors:
-            body = str(abs(coeff))
+            body = decimal_text(abs(coeff))
         elif abs(coeff) == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(abs(coeff))] + factors)
+            body = "*".join([decimal_text(abs(coeff))] + factors)
         pieces.append(("- " if coeff < 0 else "+ ") + body)
     head = pieces[0]
     head = "-" + head[2:] if head.startswith("- ") else head[2:]

@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from flatbands.graph import Labeling, PeriodicGraph
 
@@ -14,6 +15,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
 )
+
+# HYPOTHESIS_PROFILE=ci (set in CI) draws the same examples on every run,
+# so a red CI run reproduces; local runs stay random.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 LIEB_EDGES = [
     (0, 1, (0, 0)),
@@ -34,23 +41,26 @@ def lieb_labeling(lieb_graph) -> Labeling:
     return Labeling(lieb_graph, [0, 0, 0], weights)
 
 
+# the same lattice as a graph file document, with v = 0 and e = 1
+LIEB_DOCUMENT = {
+    "dimension": 2,
+    "orbits": [
+        {"id": "1", "potential": 0},
+        {"id": "2", "potential": 0},
+        {"id": "3", "potential": 0},
+    ],
+    "edges": [
+        {"from": "1", "to": "2", "offset": [0, 0], "weight": 1},
+        {"from": "2", "to": "3", "offset": [0, 0], "weight": 1},
+        {"from": "1", "to": "2", "offset": [1, 0], "weight": 1},
+        {"from": "3", "to": "2", "offset": [0, 1], "weight": 1},
+    ],
+}
+
+
 @pytest.fixture(scope="session")
 def lieb_json_path(tmp_path_factory) -> str:
     """Fully labeled Lieb lattice file (v = 0, e = 1) for CLI runs."""
-    document = {
-        "dimension": 2,
-        "orbits": [
-            {"id": "1", "potential": 0},
-            {"id": "2", "potential": 0},
-            {"id": "3", "potential": 0},
-        ],
-        "edges": [
-            {"from": "1", "to": "2", "offset": [0, 0], "weight": 1},
-            {"from": "2", "to": "3", "offset": [0, 0], "weight": 1},
-            {"from": "1", "to": "2", "offset": [1, 0], "weight": 1},
-            {"from": "3", "to": "2", "offset": [0, 1], "weight": 1},
-        ],
-    }
     path = tmp_path_factory.mktemp("graphs") / "lieb.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(LIEB_DOCUMENT))
     return str(path)

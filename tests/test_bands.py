@@ -1,4 +1,4 @@
-"""Numeric band sampling: Jacobi eigensolver and torus grids."""
+"""Numeric band sampling: eigensolvers and torus grids."""
 
 import cmath
 import io
@@ -8,14 +8,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatbands import bands
 from flatbands.bands import (
+    MAX_GRID_POINTS,
     evaluate_entry,
     flat_energy_presence,
     floquet_at,
     hermitian_defect,
     hermitian_eigh,
+    hermitian_eigvalsh,
     numeric_flat_flags,
     sample_bands,
     symmetric_jacobi,
@@ -148,6 +151,85 @@ def test_hermitian_eigh_repeated_eigenvalue():
     assert all(abs(got - want) < 1e-12 for got, want in zip(values, [2.0, 2.0, 5.0]))
 
 
+# two 2 x 2 blocks: the Householder reduction leaves a zero off-diagonal
+BLOCK_DIAGONAL = [
+    [1 + 0j, 2 + 0j, 0j, 0j],
+    [2 + 0j, 1 + 0j, 0j, 0j],
+    [0j, 0j, 3 + 0j, 1j],
+    [0j, 0j, -1j, 3 + 0j],
+]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian n x n, n = 1..8, rich in zeros and repeated entries.
+
+    Nonzero parts stay above 2^-300, so that scaling by 2^-500 keeps
+    every entry a normal float.
+    """
+    n = draw(st.integers(1, 8))
+    part = st.one_of(
+        st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5]),
+        st.floats(-4, 4).map(lambda x: x if abs(x) >= 2.0 ** -300 else 0.0),
+    )
+    matrix = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = complex(draw(part))
+        for j in range(i + 1, n):
+            matrix[i][j] = complex(draw(part), draw(part))
+            matrix[j][i] = matrix[i][j].conjugate()
+    return matrix
+
+
+def jacobi_oracles(matrix):
+    """hermitian_eigh and the real embedding, run at max |entry| near 1.
+
+    Both square entries, so they are given the matrix scaled by a power
+    of two, which moves no eigenvalue but its exponent.
+    """
+    largest = max(abs(x) for row in matrix for x in row)
+    k = math.frexp(largest)[1] if largest else 0
+    unit = [[x * math.ldexp(1.0, -k) for x in row] for row in matrix]
+    return [
+        [math.ldexp(value, k) for value in values]
+        for values in (hermitian_eigh(unit)[0], embedding_eigh(unit))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_matrices(), st.sampled_from([0, 500, -500]))
+@example(HERMITIAN_CASES["zero"], 0)
+@example(HERMITIAN_CASES["diagonal"], 0)
+@example(HERMITIAN_CASES["repeated"], 0)
+@example(BLOCK_DIAGONAL, 0)
+@example(HERMITIAN_CASES["lieb_gamma"], 0)
+@example(HERMITIAN_CASES["lieb_m"], 0)
+@example(HERMITIAN_CASES["lieb_gamma"], 500)
+@example(HERMITIAN_CASES["lieb_m"], -500)
+@example(HERMITIAN_CASES["random8"], 500)
+@example(HERMITIAN_CASES["random8"], -500)
+def test_hermitian_eigvalsh_matches_jacobi_oracles(matrix, exponent):
+    """The QL kernel on 2^exponent * matrix against both Jacobi solvers."""
+    scaled = [[x * math.ldexp(1.0, exponent) for x in row] for row in matrix]
+    norm = math.hypot(*(abs(x) for row in matrix for x in row))
+    values = hermitian_eigvalsh(scaled)
+    assert values == sorted(values)
+    for reference in jacobi_oracles(matrix):
+        for got, want in zip(values, reference, strict=True):
+            assert abs(math.ldexp(got, -exponent) - want) <= 1e-12 * norm
+
+
+def test_hermitian_eigvalsh_edge_sizes_and_float_range():
+    assert hermitian_eigvalsh([]) == []
+    assert hermitian_eigvalsh([[-2.5 + 0j]]) == [-2.5]
+    # subnormal and near-overflow entries scale by a power of two both ways
+    tiny = math.ldexp(1.0, -1074)
+    assert hermitian_eigvalsh([[0j, complex(tiny)], [complex(tiny), 0j]]) == [-tiny, tiny]
+    huge = math.ldexp(1.0, 1022)
+    values = hermitian_eigvalsh([[0j, huge * 1j], [-huge * 1j, 0j]])
+    assert [value / huge for value in values] == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+
 def test_hermitian_defect():
     assert hermitian_defect([[1.0, 2j], [-2j, 1.0]]) < 1e-15
     assert hermitian_defect([[1.0, 2j], [2j, 1.0]]) == pytest.approx(4.0)
@@ -263,13 +345,33 @@ def pointwise_bands(graph, labeling, resolution):
     return rows
 
 
-@pytest.mark.parametrize("resolution", [5, 6])
-@pytest.mark.parametrize("case", ["chain", "lieb"])
+def lieb_cube():
+    """The three-dimensional Lieb lattice with rational labels: n = 4, d = 3."""
+    edges = [(0, 1 + t, tuple(int(s == t) * k for s in range(3)))
+             for t in range(3) for k in (0, 1)]
+    g = PeriodicGraph(3, 4, edges)
+    lab = Labeling(
+        g,
+        [Fraction(1, 4), Fraction(-1, 3), Fraction(-1, 3), Fraction(2, 5)],
+        {e: Fraction(3 + k, 4) for k, e in enumerate(g.sorted_edges())},
+    )
+    return g, lab
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 5, 6])
+@pytest.mark.parametrize("case", ["chain", "lieb", "cube"])
 def test_sample_bands_matches_pointwise_solve(case, resolution, lieb_graph, lieb_labeling):
-    graph, labeling = chain_with_hopping() if case == "chain" else (lieb_graph, lieb_labeling)
+    """The compiled grid and the QL kernel against floquet_at and Jacobi."""
+    graph, labeling = {
+        "chain": chain_with_hopping,
+        "lieb": lambda: (lieb_graph, lieb_labeling),
+        "cube": lieb_cube,
+    }[case]()
     sample = sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
     reference = pointwise_bands(graph, labeling, resolution)
     assert len(sample.bands) == len(reference) == resolution ** graph.dimension
+    angles = [2.0 * math.pi * k / resolution for k in range(resolution)]
+    assert sample.grid == tuple(product(angles, repeat=graph.dimension))
     for got, want in zip(sample.bands, reference):
         for x, y in zip(got, want, strict=True):
             assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
@@ -282,14 +384,9 @@ def test_sample_bands_matches_pointwise_solve(case, resolution, lieb_graph, lieb
         assert sample.bands[flat] == sample.bands[mirror]
 
 
-@pytest.mark.parametrize("dimension, resolution, solves", [(1, 64, 33), (2, 16, 130), (1, 7, 4)])
-def test_sample_bands_solves_each_opposite_pair_once(monkeypatch, dimension, resolution, solves):
-    if dimension == 1:
-        graph, labeling = chain_with_hopping()
-    else:
-        graph = PeriodicGraph(2, 3, LIEB_EDGES)
-        labeling = Labeling(graph, [0, 0, 0], {e: 1 for e in graph.sorted_edges()})
-    calls = {"eval": 0, "eigh": 0}
+def counting_seams(monkeypatch):
+    """Count calls through the module-level solver and evaluator names."""
+    calls = {"eval": 0, "eigh": 0, "eigvalsh": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -297,9 +394,32 @@ def test_sample_bands_solves_each_opposite_pair_once(monkeypatch, dimension, res
             return function(*args)
         return wrapper
 
-    # the module-level names are the seams that tracing wraps
     monkeypatch.setattr(bands, "floquet_at", counted("eval", bands.floquet_at))
     monkeypatch.setattr(bands, "hermitian_eigh", counted("eigh", bands.hermitian_eigh))
+    monkeypatch.setattr(bands, "hermitian_eigvalsh",
+                        counted("eigvalsh", bands.hermitian_eigvalsh))
+    return calls
+
+
+@pytest.mark.parametrize("dimension, resolution, solves", [(1, 64, 33), (2, 16, 130), (1, 7, 4)])
+def test_sample_bands_solves_each_opposite_pair_once(monkeypatch, dimension, resolution, solves):
+    if dimension == 1:
+        graph, labeling = chain_with_hopping()
+    else:
+        graph = PeriodicGraph(2, 3, LIEB_EDGES)
+        labeling = Labeling(graph, [0, 0, 0], {e: 1 for e in graph.sorted_edges()})
+    calls = counting_seams(monkeypatch)
     sample = sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
     assert len(sample.grid) == resolution ** dimension
-    assert calls == {"eval": solves, "eigh": solves}
+    # one kernel solve per pair; the pointwise oracles never run
+    assert calls == {"eval": 0, "eigh": 0, "eigvalsh": solves}
+
+
+@pytest.mark.parametrize("dimension, resolution", [(1, MAX_GRID_POINTS + 1), (2, 1025), (3, 102)])
+def test_sample_bands_refuses_grids_past_the_budget(monkeypatch, dimension, resolution):
+    graph = PeriodicGraph(dimension, 1, [(0, 0, (1,) + (0,) * (dimension - 1))])
+    labeling = Labeling(graph, [0], {e: 1 for e in graph.sorted_edges()})
+    calls = counting_seams(monkeypatch)
+    with pytest.raises(ValueError, match=f"limit of {MAX_GRID_POINTS} grid points"):
+        sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
+    assert calls == {"eval": 0, "eigh": 0, "eigvalsh": 0}

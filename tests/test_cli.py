@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: reports, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from flatbands import cli, laurent, unipoly
+from flatbands.bands import MAX_GRID_POINTS
 from flatbands.floquet import FloquetMatrix
 from flatbands.cli import (
     EXIT_FLAT_BAND,
@@ -16,6 +19,8 @@ from flatbands.cli import (
     format_unipoly,
     main,
 )
+
+from conftest import LIEB_DOCUMENT
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +232,43 @@ class TestBands:
         assert err.startswith(f"input error: {label} ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("weight", ["1e160", "1e-170", "1e300", "1e-300"])
+    def test_bands_at_the_ends_of_the_float_range(self, capsys, tmp_path, weight):
+        # the Lieb bands at the Gamma point are 0 and +-2 sqrt(2) w
+        document = json.loads(json.dumps(LIEB_DOCUMENT))
+        for edge in document["edges"]:
+            edge["weight"] = weight
+        path = write_graph(tmp_path, "lieb.json", document)
+        out_csv = tmp_path / "bands.csv"
+        code, _, err = run_cli(capsys, "bands", path, "--resolution", "4",
+                               "--out", str(out_csv))
+        assert (code, err) == (EXIT_OK, "")
+        gamma = [float(x) for x in out_csv.read_text().splitlines()[1].split(",")]
+        w = float(weight)
+        assert gamma[:2] == [0.0, 0.0]
+        for got, want in zip(gamma[2:], [-2.0 * math.sqrt(2.0) * w, 0.0,
+                                         2.0 * math.sqrt(2.0) * w], strict=True):
+            assert abs(got - want) <= 1e-12 * w
+
+    def test_entries_beyond_the_float_range_are_an_input_error(self, capsys, tmp_path):
+        # every weight is a float, but w + w z1 at z1 = 1 is not
+        document = json.loads(json.dumps(LIEB_DOCUMENT))
+        for edge in document["edges"]:
+            edge["weight"] = "1e308"
+        path = write_graph(tmp_path, "lieb.json", document)
+        code, out, err = run_cli(capsys, "bands", path, "--resolution", "4")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("input error: Floquet matrix entries ")
+
+    def test_grid_budget(self, capsys, lieb_json_path):
+        code, out, err = run_cli(capsys, "bands", lieb_json_path, "--resolution", "100000")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == (f"input error: a grid of 100000^2 points exceeds the limit "
+                       f"of {MAX_GRID_POINTS} grid points\n")
+
     def test_resolution_must_be_sane(self, capsys, lieb_json_path):
         code, _, err = run_cli(capsys, "bands", lieb_json_path, "--resolution", "1")
         assert code == EXIT_INPUT_ERROR
@@ -249,6 +291,35 @@ class TestErrorPaths:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_analyze_prints_integers_past_the_str_limit(self, capsys, tmp_path, as_json):
+        # the dispersion holds the cubed potential, 6001 digits
+        document = json.loads(json.dumps(LIEB_DOCUMENT))
+        for orbit in document["orbits"]:
+            orbit["potential"] = "1e2000"
+        path = write_graph(tmp_path, "lieb.json", document)
+        code, out, err = run_cli(capsys, *(["--json"] if as_json else []), "analyze", path)
+        assert (code, err) == (EXIT_FLAT_BAND, "")
+        energy = "1" + "0" * 2000
+        if as_json:
+            roots = json.loads(out)["flat_bands"]["rational_roots"]
+            assert roots == [{"energy": 10 ** 2000, "multiplicity": 1,
+                              "divisibility_verified": True}]
+        else:
+            assert f"energy: {energy}\n" in out
+        # the constant term of the dispersion, c^3 - 4c at c = 10^2000
+        assert "9" * 3999 + "6" + "0" * 2000 in out
+
+    def test_integers_past_the_str_limit_print_as_text(self):
+        big = 10 ** 5000
+        assert cli.decimal_text(big) == "1" + "0" * 5000
+        assert cli.decimal_text(-big) == "-1" + "0" * 5000
+        assert cli.decimal_text(Fraction(-big, 3)) == "-1" + "0" * 5000 + "/3"
+        assert cli.decimal_text(Fraction(7, 2)) == "7/2"
+        assert cli._rational_out(Fraction(big)) == "1" + "0" * 5000
+        assert cli._rational_out(Fraction(12)) == 12
+        assert format_unipoly((-big, 1)) == "lam - 1" + "0" * 5000
 
     def test_huge_exponent_is_an_input_error(self, capsys, tmp_path):
         path = write_graph(tmp_path, "huge.json", {
