@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from operator import mul
@@ -31,7 +32,6 @@ from .laurent import LaurentPoly
 _JACOBI_SWEEPS = 50
 _JACOBI_EPS = 1e-30  # squared off-diagonal mass per element, ~machine precision
 _QL_ITERATIONS = 30  # per eigenvalue; Wilkinson shifts converge in two or three
-_EPS = 2.0 ** -52  # machine epsilon of a float
 
 # Largest resolution^d that sample_bands accepts.  At the limit, `bands`
 # on the Lieb lattice (d = 2, R = 1024) with CSV output took 34 s and
@@ -232,7 +232,7 @@ def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
     """
     n = len(d)
     e.append(0.0)
-    hypot, eps = math.hypot, _EPS
+    hypot, eps = math.hypot, sys.float_info.epsilon
     for l in range(n):
         for iteration in range(_QL_ITERATIONS + 1):
             m = l

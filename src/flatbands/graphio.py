@@ -23,6 +23,7 @@ everything is 0-based in file order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -210,12 +211,12 @@ def _rational_out(value: Fraction):
     print ints with str().
     """
     if value.denominator == 1:
-        number = int(value)
-        try:
-            str(number)
-        except ValueError:
-            pass
-        else:
+        # the limit counts decimal digits (none before Python 3.10.7);
+        # 2^(3 L) < 10^L, so most ints pass on their bit length alone
+        number = value.numerator
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if (not limit or number.bit_length() <= 3 * limit
+                or abs(number) < 10 ** limit):
             return number
     return decimal_text(value)
 

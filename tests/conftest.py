@@ -5,7 +5,6 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 from flatbands.graph import Labeling, PeriodicGraph
 
@@ -15,12 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
 )
-
-# HYPOTHESIS_PROFILE=ci (set in CI) draws the same examples on every run,
-# so a red CI run reproduces; local runs stay random.
-settings.register_profile("ci", derandomize=True)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")
 
 LIEB_EDGES = [
     (0, 1, (0, 0)),

@@ -319,6 +319,12 @@ class TestErrorPaths:
         assert cli.decimal_text(Fraction(7, 2)) == "7/2"
         assert cli._rational_out(Fraction(big)) == "1" + "0" * 5000
         assert cli._rational_out(Fraction(12)) == 12
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            # the last int that str() still prints, and the first it refuses
+            edge = 10 ** limit
+            assert cli._rational_out(Fraction(1 - edge)) == 1 - edge
+            assert cli._rational_out(Fraction(edge)) == "1" + "0" * limit
         assert format_unipoly((-big, 1)) == "lam - 1" + "0" * 5000
 
     def test_huge_exponent_is_an_input_error(self, capsys, tmp_path):
