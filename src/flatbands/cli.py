@@ -7,7 +7,8 @@ flat bands of one labeling), `generic` (randomized unanimity decision),
 CSV output).  Reports are deterministic for a fixed input file, flag set,
 and seed; `--json` switches the same report to machine-readable form.
 
-Exit codes: 0 success / no flat band, 2 input error, 10 flat band found
+Exit codes: 0 success / no flat band, 2 input error, 3 internal error (a
+broken invariant, reported in one line), 10 flat band found
 (or, for the sweep, an oracle disagreement), 11 inconsistent random
 trials (rerun with another seed).
 """
@@ -23,7 +24,8 @@ from fractions import Fraction
 from . import __version__
 from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
                     write_csv)
-from .flatband import FlatBandReport, flat_bands, generic_flat_band_decision
+from .flatband import (FlatBandReport, InvariantError, flat_bands,
+                       generic_flat_band_decision)
 from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import (Labeling, find_support_zero_component, has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
@@ -453,18 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="auto: keep file labels, randomize missing ones; "
                         "given: require a fully labeled file; "
                         "random: draw every label from the seed")
-    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("generic", help="unanimous flat-band decision over random labelings")
     add_common(p)
     p.add_argument("--trials", type=int, default=5, help="number of labelings (default 5)")
-    p.set_defaults(handler=cmd_generic)
 
     p = sub.add_parser("polytope", help="generic support, vertical faces, witnesses")
     add_common(p)
     p.add_argument("--trials", type=int, default=5,
                    help="labelings pooled into the generic support (default 5)")
-    p.set_defaults(handler=cmd_polytope)
 
     p = sub.add_parser(
         "verify-theorem",
@@ -482,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="1,2", help="comma-separated dimensions (default 1,2)")
     p.add_argument("--max-orbits", type=int, default=4, help="orbit cap per graph (default 4)")
     p.add_argument("--max-edges", type=int, default=6, help="edge-class cap (default 6)")
-    p.set_defaults(handler=cmd_verify_theorem)
 
     p = sub.add_parser("bands", help="numeric band functions on the momentum torus")
     add_common(p)
@@ -494,21 +492,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="flatness tolerance for flagging bands (default 1e-8)")
     p.add_argument("--out", help="write the band grid to this CSV path")
-    p.set_defaults(handler=cmd_bands)
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
+    # looked up per call, not bound into the parser built once per process
+    handler = {
+        "analyze": cmd_analyze,
+        "generic": cmd_generic,
+        "polytope": cmd_polytope,
+        "verify-theorem": cmd_verify_theorem,
+        "bands": cmd_bands,
+    }[args.subcommand]
     try:
-        return args.handler(args)
+        return handler(args)
     except GraphFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

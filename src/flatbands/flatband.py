@@ -6,7 +6,8 @@ as a sum of z-monomials times univariate lam-polynomials, lam0 is a flat
 band exactly when every one of those lam-polynomials vanishes at lam0,
 so the flat-band set is the root set of their gcd.  Working with the gcd
 keeps irrational and complex flat bands visible (as irreducible factors)
-without ever leaving rational arithmetic.
+without ever leaving rational arithmetic.  The gcd itself runs on
+primitive integer polynomials (`unipoly.gcd`).
 """
 
 from __future__ import annotations
@@ -100,30 +101,58 @@ def lam_polynomial_at(poly: LaurentPoly, z_part: tuple[int, ...]) -> tuple[Fract
     return unipoly.normalize(out)
 
 
+class InvariantError(ValueError):
+    """A dispersion that breaks an invariant the determinant guarantees.
+
+    A `ValueError` for library callers; the command line reports it as an
+    internal error, since no input file can produce it.
+    """
+
+
 def _check_monic_in_lam(poly: LaurentPoly) -> int:
-    degree = poly.lam_degree
+    terms = poly._terms
+    degree = max((key[-1] for key in terms), default=-1)
     if degree < 1:
-        raise ValueError("dispersion must have positive lam degree")
-    lead = poly.lam_coefficient(degree)
-    zero = (0,) * (poly.dimension + 1)
-    if set(lead.support()) != {zero} or abs(lead.coefficient(zero)) != 1:
-        raise ValueError("input is not monic (up to sign) in lam")
+        raise InvariantError("dispersion must have positive lam degree")
+    lead = (0,) * poly.dimension + (degree,)
+    if abs(terms.get(lead, 0)) != 1 or any(
+            key[-1] == degree for key in terms if key != lead):
+        raise InvariantError("input is not monic (up to sign) in lam")
     return degree
+
+
+def _lam_polynomial_int(coefficients: dict[int, Fraction]) -> tuple[int, ...]:
+    """Primitive integer lam-polynomial from {lam exponent: coefficient}."""
+    dense = [0] * (max(coefficients) + 1)
+    for power, coeff in coefficients.items():
+        dense[power] = coeff
+    return unipoly.primitive_part(dense)
 
 
 def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
     """All energies whose linear factor divides the dispersion.
 
-    The gcd runs over the lam-polynomials attached to each z-monomial,
-    with an early exit once it collapses to 1.  Factoring g, and the
+    The terms are grouped by z-part in one pass.  The gcd runs over the
+    lam-polynomials of the groups in z-part order, each turned into a
+    primitive integer polynomial only when the gcd reaches it, and exits
+    early once the gcd collapses to 1.  The smallest z-part is a vertex of
+    the support's z-projection; on random dispersions this order reached
+    1 in fewer steps than lowest lam-degree first.  Factoring g, and the
     re-verification of every rational root by synthetic division of the
     full dispersion, wait until the report's roots or factors are read.
     """
     degree = _check_monic_in_lam(dispersion)
-    z_parts = sorted({key[:-1] for key in dispersion.support()})
+    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for key, coeff in dispersion.items():
+        z_part = key[:-1]
+        group = groups.get(z_part)
+        if group is None:
+            groups[z_part] = {key[-1]: coeff}
+        else:
+            group[key[-1]] = coeff
     g: tuple[Fraction, ...] = ()
-    for z_part in z_parts:
-        g = unipoly.gcd(g, lam_polynomial_at(dispersion, z_part))
+    for z_part in sorted(groups):
+        g = unipoly.gcd(g, _lam_polynomial_int(groups[z_part]))
         if len(g) == 1:
             break
     if not g:

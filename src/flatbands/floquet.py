@@ -5,27 +5,40 @@ class (i, j, a), read with the offset oriented from i to j; the symmetric
 entry picks up ``z^-a``.  A class joining an orbit to its own translate
 contributes ``w * (z^a + z^-a)`` on the diagonal, on top of the potential.
 The construction makes ``L(1/z)`` the transpose of ``L(z)``.
+
+A `FloquetMatrix` is built in one pass over the sorted edge classes into
+per-row ``(column, exponent, coefficient)`` triples of the pencil
+L(z) - lam * I, packed at once for the integer determinant.  Distinct
+classes give distinct exponents within an entry, so no term is ever
+summed.  The Laurent matrices `matrix` and `char_matrix()` are built from
+the same triples, and only when something reads them.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentMatrix, LaurentPoly, determinant
+from .laurent import LaurentMatrix, LaurentPoly, determinant, pack_rows
+
+_MINUS_ONE = Fraction(-1)
 
 
 class FloquetMatrix:
     """Matrix-valued symbol of the periodic operator, with cached dispersion."""
 
-    __slots__ = ("graph", "labeling", "matrix", "_dispersion")
+    __slots__ = ("graph", "labeling", "_rows", "_pencil", "_matrix", "_dispersion")
 
     def __init__(self, graph: PeriodicGraph, labeling: Labeling):
         if labeling.graph != graph:
             raise ValueError("labeling belongs to a different graph")
+        rows = _pencil_rows(graph, labeling)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "matrix", _build_matrix(graph, labeling))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_pencil", pack_rows(graph.dimension, rows))
+        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_dispersion", None)
 
     def __setattr__(self, name, value):
@@ -33,51 +46,79 @@ class FloquetMatrix:
 
     @property
     def size(self) -> int:
-        return self.matrix.size
+        return self.graph.num_orbits
+
+    @property
+    def matrix(self) -> LaurentMatrix:
+        """L(z) as a Laurent matrix, built on first read."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", self._laurent_matrix(with_lam=False))
+        return self._matrix
 
     def char_matrix(self) -> LaurentMatrix:
         """The pencil L(z) - lam * I as one Laurent matrix."""
-        return self.matrix.minus_lam_identity()
+        return self._laurent_matrix(with_lam=True)
+
+    def _laurent_matrix(self, with_lam: bool) -> LaurentMatrix:
+        d = self.graph.dimension
+        n = self.size
+        entries = []
+        for row in self._rows:
+            terms: list[dict] = [{} for _ in range(n)]
+            for col, key, coeff in row:
+                if with_lam or key[-1] == 0:
+                    terms[col][key] = coeff
+            entries.append([LaurentPoly._from_terms(d, t) for t in terms])
+        return LaurentMatrix(entries)
 
     def dispersion(self, method: str = "auto") -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.
 
-        The lam-leading coefficient is (-1)^n by construction, which is
-        asserted here as a cheap sanity check on the determinant code.
+        The integer kernels take the packed pencil; ``bareiss`` takes the
+        Laurent pencil.  The lam-leading coefficient is (-1)^n by
+        construction, which is asserted here as a cheap sanity check on
+        the determinant code.
         """
         cached = self._dispersion
         if cached is not None and method == "auto":
             return cached
-        poly = determinant(self.char_matrix(), method=method)
-        n = self.graph.num_orbits
-        lead = poly.lam_coefficient(n)
-        expected = LaurentPoly.constant(self.graph.dimension, (-1) ** n)
-        if lead != expected or poly.lam_degree != n:
+        pencil = self._pencil if method in ("auto", "leibniz") else self.char_matrix()
+        poly = determinant(pencil, method=method)
+        n = self.size
+        lead = (0,) * self.graph.dimension + (n,)
+        terms = poly._terms
+        if terms.get(lead) != (-1) ** n or any(
+                key[-1] >= n for key in terms if key != lead):
             raise ArithmeticError("dispersion lost its leading lam term")
         if method == "auto":
             object.__setattr__(self, "_dispersion", poly)
         return poly
 
 
-def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> LaurentMatrix:
+def _pencil_rows(graph: PeriodicGraph, labeling: Labeling
+                 ) -> list[list[tuple[int, tuple[int, ...], Fraction]]]:
+    """Per-row (column, exponent, coefficient) triples of L(z) - lam * I.
+
+    Row v lists the potential, then w * z^a or w * z^-a for each class in
+    sorted order, then -lam on the diagonal; zero labels are left out.
+    """
     d = graph.dimension
-    n = graph.num_orbits
-    rows = [
-        [LaurentPoly.zero(d) for _ in range(n)]
-        for _ in range(n)
-    ]
-    for v in range(n):
-        rows[v][v] = LaurentPoly.constant(d, labeling.potentials[v])
-    for i, j, a in graph.sorted_edges():
-        w = labeling.weights[(i, j, a)]
-        direct = LaurentPoly.monomial(d, a, 0, w)
-        reverse = LaurentPoly.monomial(d, tuple(-e for e in a), 0, w)
-        if i == j:
-            rows[i][i] = rows[i][i] + direct + reverse
-        else:
-            rows[i][j] = rows[i][j] + direct
-            rows[j][i] = rows[j][i] + reverse
-    return LaurentMatrix(rows)
+    zero = (0,) * d
+    rows = []
+    for v, potential in enumerate(labeling.potentials):
+        rows.append([(v, zero + (0,), potential)] if potential else [])
+    weights = labeling.weights
+    for edge in graph.sorted_edges():
+        w = weights[edge]
+        if not w:
+            continue
+        i, j, a = edge
+        rows[i].append((j, a + (0,), w))
+        rows[j].append((i, tuple(-e for e in a) + (0,), w))
+    lam = zero + (1,)
+    for v, row in enumerate(rows):
+        row.append((v, lam, _MINUS_ONE))
+    return rows
 
 
 def build_floquet(graph: PeriodicGraph, labeling: Labeling) -> FloquetMatrix:

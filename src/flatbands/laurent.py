@@ -6,12 +6,15 @@ is keyed by the exponent tuple ``(a_1, .., a_d, b)`` with the lam exponent
 ``b`` last.  Coefficients are `fractions.Fraction`; floats are rejected so
 that divisibility questions stay decidable.
 
-Determinants run in integers: `det_leibniz` clears each row's
-denominators, packs every exponent tuple into one int by Kronecker
-substitution, expands minors memoized on column bitmasks, and divides
-the denominators back out once per output term.  `det_bareiss`
-(fraction-free elimination over the Laurent ring) is the independent
-oracle it is tested against.
+Determinants run in integers.  One packer, `pack_rows`, turns per-row
+``(column, exponent tuple, coefficient)`` triples into a `PackedPencil`:
+each row's numerators over the lcm of its denominators, every exponent
+tuple packed into one int by Kronecker substitution, and the product of
+the row denominators.  One expander, `det_leibniz`, takes such a pencil
+(or a `LaurentMatrix`, which it packs first), expands minors memoized on
+column bitmasks, and divides the denominators back out once per output
+term.  `det_bareiss` (fraction-free elimination over the Laurent ring)
+is the independent oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -57,6 +60,19 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ----------------------------------------------------
+    @classmethod
+    def _from_terms(cls, dimension: int, terms: dict[Exponent, Fraction]) -> "LaurentPoly":
+        """Wrap a term dict without copying or checking it.
+
+        For data the package has already produced or checked: exponent
+        tuples of length dimension + 1 with a nonnegative lam exponent, and
+        nonzero `Fraction` coefficients.  The dict is owned by the result.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dimension", dimension)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
+
     @classmethod
     def zero(cls, dimension: int) -> "LaurentPoly":
         return cls(dimension, {})
@@ -337,56 +353,105 @@ class LaurentMatrix:
         return self.entries == other.entries
 
     def minus_lam_identity(self) -> "LaurentMatrix":
-        lam = LaurentPoly.lam(self.dimension)
-        return LaurentMatrix(
-            tuple(
-                tuple(e - lam if i == j else e for j, e in enumerate(row))
-                for i, row in enumerate(self.entries)
-            )
-        )
+        lam = (0,) * self.dimension + (1,)
+        rows = []
+        for i, row in enumerate(self.entries):
+            terms = dict(row[i]._terms)
+            value = terms.get(lam, 0) - 1
+            if value:
+                terms[lam] = Fraction(value)
+            else:
+                del terms[lam]
+            diagonal = LaurentPoly._from_terms(self.dimension, terms)
+            rows.append(row[:i] + (diagonal,) + row[i + 1:])
+        return LaurentMatrix(rows)
 
 
-def det_leibniz(matrix: LaurentMatrix) -> LaurentPoly:
+class PackedPencil:
+    """Square matrix in the integer form that `det_leibniz` expands.
+
+    ``rows[r]`` holds one ``(1 << col, terms, negated terms)`` triple per
+    nonzero entry of row r, in ascending column order.  A term is a pair
+    (packed exponent, integer numerator) over the row's lcm denominator.
+    ``denominator`` is the product of the row denominators, so the
+    determinant of the pencil is the integer determinant over it.
+    Exponents are packed in base ``base``; see `pack_rows`.
+    """
+
+    __slots__ = ("size", "dimension", "base", "rows", "denominator")
+
+    def __init__(self, size: int, dimension: int, base: int, rows: list, denominator: int):
+        self.size = size
+        self.dimension = dimension
+        self.base = base
+        self.rows = rows
+        self.denominator = denominator
+
+
+def pack_rows(dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, object]]]
+              ) -> PackedPencil:
+    """Pack a square matrix given as per-row (column, exponent, coefficient) triples.
+
+    Within a row, each (column, exponent) pair appears at most once and
+    every coefficient is a nonzero int or `Fraction`; a column with no
+    triple is a zero entry.  Row r is scaled by the lcm d_r of its
+    denominators, which multiplies the determinant by prod(d_r).
+    Exponent vectors are packed into one int (Kronecker substitution):
+    with m the largest |exponent| (at least 1) and B = 2*n*m + 1, the
+    vector e maps to sum(e_k * B**k).  The map is linear, so multiplying
+    monomials adds their packed keys, and every exponent of a k x k minor
+    is bounded by k*m <= n*m < B/2, so balanced base-B digits decode each
+    key of the determinant exactly.
+    """
+    n = len(rows)
+    m = max([1] + [abs(e) for row in rows for _, key, _ in row for e in key])
+    base = 2 * n * m + 1
+    powers = [base ** k for k in range(dimension + 1)]
+    packed_rows = []
+    denominator = 1
+    for row in rows:
+        scale = math.lcm(*[coeff.denominator for _, _, coeff in row])
+        denominator *= scale
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for col, key, coeff in row:
+            term = (sum([e * p for e, p in zip(key, powers)]),
+                    coeff.numerator * (scale // coeff.denominator))
+            if col in columns:
+                columns[col].append(term)
+            else:
+                columns[col] = [term]
+        packed_rows.append([
+            (1 << col, tuple(terms), tuple((k, -c) for k, c in terms))
+            for col, terms in sorted(columns.items())
+        ])
+    return PackedPencil(n, dimension, base, packed_rows, denominator)
+
+
+def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
     """Determinant by minor expansion along rows, memoized on column sets.
 
-    The expansion runs in plain Python integers.  Row i is scaled by the
-    lcm d_i of its coefficient denominators, which multiplies the
-    determinant by prod(d_i); each output coefficient is divided by that
-    product once at the end.  Exponent vectors are packed into one int
-    (Kronecker substitution): with m the largest |exponent| in the matrix
-    (at least 1) and B = 2*n*m + 1, the vector e maps to sum(e_k * B**k).
-    The map is linear, so multiplying monomials adds their packed keys,
-    and every exponent of a k x k minor is bounded by k*m <= n*m < B/2, so
-    balanced base-B digits decode each key exactly.
+    The expansion runs in plain Python integers on a `PackedPencil`; a
+    `LaurentMatrix` is packed through `pack_rows` first.  Each output
+    coefficient is divided by the pencil's denominator once at the end,
+    and each packed key is decoded into balanced base-B digits.
 
     A minor is keyed by the bitmask of its remaining columns; it expands
     row n - popcount(mask), and column ``bit`` enters with the sign of the
     number of remaining columns before it.
     """
-    n = matrix.size
-    dim = matrix.dimension
-    m = max(1, max((abs(e) for row in matrix.entries for entry in row
-                    for key in entry._terms for e in key), default=0))
-    base = 2 * n * m + 1
-    powers = [base ** k for k in range(dim + 1)]
-
-    # rows[r]: (bit, terms, negated terms) per nonzero entry of row r
-    rows = []
-    denominator = 1
-    for row in matrix.entries:
-        scale = math.lcm(*(c.denominator for entry in row for c in entry._terms.values()))
-        denominator *= scale
-        packed_row = []
-        for col, entry in enumerate(row):
-            if entry.is_zero:
-                continue
-            terms = tuple(
-                (sum(e * p for e, p in zip(key, powers)),
-                 coeff.numerator * (scale // coeff.denominator))
-                for key, coeff in entry._terms.items()
-            )
-            packed_row.append((1 << col, terms, tuple((k, -c) for k, c in terms)))
-        rows.append(packed_row)
+    if isinstance(matrix, PackedPencil):
+        pencil = matrix
+    else:
+        pencil = pack_rows(matrix.dimension, [
+            [(col, key, coeff) for col, entry in enumerate(row)
+             for key, coeff in entry._terms.items()]
+            for row in matrix.entries
+        ])
+    n = pencil.size
+    dim = pencil.dimension
+    base = pencil.base
+    denominator = pencil.denominator
+    rows = pencil.rows
 
     memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
@@ -422,7 +487,7 @@ def det_leibniz(matrix: LaurentMatrix) -> LaurentPoly:
             exponent.append(digit)
             packed = (packed - digit) // base
         out[tuple(exponent)] = Fraction(value, denominator)
-    return LaurentPoly(dim, out)
+    return LaurentPoly._from_terms(dim, out)
 
 
 def _exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -519,14 +584,15 @@ def det_bareiss(matrix: LaurentMatrix) -> LaurentPoly:
     return det.shift([-s for s in total_shift])
 
 
-def determinant(matrix: LaurentMatrix, method: str = "auto") -> LaurentPoly:
+def determinant(matrix: LaurentMatrix | PackedPencil, method: str = "auto") -> LaurentPoly:
     """Exact determinant.
 
     ``auto`` and ``leibniz`` run the integer minor expansion `det_leibniz`
     at every size: on the sparse Floquet pencils of the benchmark corpus
     (n = 4..8) it is 10-100x faster than Bareiss elimination, whose
     intermediate entries grow dense.  ``bareiss`` runs `det_bareiss`,
-    kept as an independent oracle for the tests.
+    kept as an independent oracle for the tests; it needs a
+    `LaurentMatrix`.
     """
     if method in ("auto", "leibniz"):
         return det_leibniz(matrix)

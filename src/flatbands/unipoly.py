@@ -101,35 +101,65 @@ def synthetic_divide(p: Coeffs, root) -> tuple[Coeffs, Fraction]:
     return normalize(out), remainder
 
 
-def _primitive_int(p: Coeffs) -> tuple[int, ...]:
-    """Integer primitive part (positive leading coefficient)."""
-    if not p:
+def primitive_part(p: Sequence) -> tuple[int, ...]:
+    """Integer primitive part (positive leading coefficient) of ints or rationals.
+
+    Trailing zeros are dropped first; the zero polynomial gives ().
+    """
+    end = len(p)
+    while end and not p[end - 1]:
+        end -= 1
+    if not end:
         return ()
+    p = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p[:end]]
     denom = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * denom) for c in p]
-    g = math.gcd(*(abs(c) for c in ints))
+    ints = [c.numerator * (denom // c.denominator) for c in p]
+    g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     return tuple(c // g for c in ints)
 
 
-def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
+def _prem_primitive(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive part of the pseudo-remainder of a by b (deg a >= deg b >= 1).
+
+    The division runs in ints: each step with a nonzero leading term
+    scales the remainder by lc(b) and cancels that term, so the result is
+    a constant multiple of the remainder over Q.
+    """
+    rem = list(a)
+    lead = b[-1]
+    top = len(b) - 1
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        if c:
+            rem = [lead * x for x in rem]
+            for i in range(top):
+                rem[shift + i] -= c * b[i]
+    return primitive_part(rem)
+
+
+def gcd(p: Sequence, q: Sequence) -> Coeffs:
     """Monic gcd over Q; gcd(0, 0) is the zero polynomial.
 
-    Plain Euclidean remainders with a primitive reduction after each step
-    to keep the numerators from blowing up.
+    Takes ascending coefficients, ints or rationals.  Both inputs are
+    reduced to primitive integer polynomials, and a primitive remainder
+    sequence (Collins 1967, Brown 1971) runs in ints: each pseudo-remainder
+    is divided by its content, which keeps the coefficients small.  The
+    last nonzero remainder is the gcd up to a constant; a constant
+    remainder ends the sequence with 1.
     """
-    a, b = normalize(p), normalize(q)
+    a, b = primitive_part(p), primitive_part(q)
     if len(a) < len(b):
         a, b = b, a
     while b:
         if len(b) == 1:
             return (Fraction(1),)
-        _, rem = divmod_exact(a, b)
-        a, b = b, rem
-        if b:
-            b = tuple(Fraction(c) for c in _primitive_int(b))
-    return monic(a) if a else ()
+        a, b = b, _prem_primitive(a, b)
+    if not a:
+        return ()
+    lead = a[-1]
+    return tuple(Fraction(c, lead) for c in a)
 
 
 def sqrt_rational(value: Fraction) -> Fraction | None:

@@ -11,6 +11,7 @@ import pytest
 from flatbands import cli, laurent, unipoly
 from flatbands.bands import MAX_GRID_POINTS
 from flatbands.floquet import FloquetMatrix
+from flatbands.laurent import LaurentMatrix, LaurentPoly
 from flatbands.cli import (
     EXIT_FLAT_BAND,
     EXIT_INPUT_ERROR,
@@ -292,6 +293,46 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_parser_is_built_once_and_reused(self, capsys, monkeypatch, lieb_json_path):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([])
+            assert exc.value.code == 2
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", lieb_json_path, "--no-such-flag"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+            assert run_cli(capsys, "generic", lieb_json_path, "--trials", "2")[0] == EXIT_OK
+        assert built == [1]
+
+    @pytest.mark.parametrize("patch_kernel", [True, False])
+    def test_a_non_monic_dispersion_is_an_internal_error(self, capsys, monkeypatch,
+                                                          lieb_json_path, patch_kernel):
+        # doubling breaks the +-1 lam-leading coefficient: FloquetMatrix.dispersion
+        # catches a doubled kernel result, flat_bands one doubled after that check
+        if patch_kernel:
+            kernel = laurent.det_leibniz
+            monkeypatch.setattr(laurent, "det_leibniz", lambda m: kernel(m) * 2)
+        else:
+            original = FloquetMatrix.dispersion
+            monkeypatch.setattr(FloquetMatrix, "dispersion",
+                                lambda self, method="auto": original(self, method) * 2)
+        code, out, err = run_cli(capsys, "analyze", lieb_json_path)
+        assert code == EXIT_INTERNAL_ERROR == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal error: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("as_json", [False, True])
     def test_analyze_prints_integers_past_the_str_limit(self, capsys, tmp_path, as_json):
         # the dispersion holds the cubed potential, 6001 digits
@@ -402,6 +443,33 @@ class TestExactWorkPerCommand:
         code, _, _ = run_cli(capsys, "analyze", lieb_json_path)
         assert code == EXIT_FLAT_BAND
         assert calls == [3]
+
+    @pytest.mark.parametrize("argv", [
+        ("generic", "LIEB", "--trials", "4"),
+        ("--json", "verify-theorem", "--count", "5"),
+    ])
+    def test_exact_commands_make_one_laurent_poly_per_dispersion(
+            self, capsys, monkeypatch, lieb_json_path, argv):
+        counts = {"matrices": 0, "polys": 0, "dispersions": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LaurentMatrix, "__init__",
+                            counting("matrices", LaurentMatrix.__init__))
+        monkeypatch.setattr(LaurentPoly, "__init__", counting("polys", LaurentPoly.__init__))
+        monkeypatch.setattr(LaurentPoly, "_from_terms", classmethod(
+            counting("polys", LaurentPoly._from_terms.__func__)))
+        monkeypatch.setattr(laurent, "det_leibniz",
+                            counting("dispersions", laurent.det_leibniz))
+        argv = [lieb_json_path if a == "LIEB" else a for a in argv]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert counts["matrices"] == 0
+        assert 0 < counts["polys"] <= counts["dispersions"]
 
     def test_bands_builds_one_floquet_matrix(self, capsys, monkeypatch, lieb_json_path):
         builds = []

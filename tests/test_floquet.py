@@ -2,13 +2,15 @@
 
 The Lieb lattice doubles as the main oracle: its determinant has a short
 closed form that the tests rebuild directly from Laurent arithmetic,
-independently of the matrix pipeline under test.
+independently of the matrix pipeline under test.  `_build_matrix`, the
+entry-by-entry Laurent build, is the oracle of the packed build.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatbands.floquet import (
     FloquetMatrix,
@@ -17,8 +19,8 @@ from flatbands.floquet import (
     induced_dispersion,
     induced_operator,
 )
-from flatbands.graph import Labeling, PeriodicGraph
-from flatbands.laurent import LaurentPoly, format_poly
+from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
+from flatbands.laurent import LaurentMatrix, LaurentPoly, det_bareiss, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
 
@@ -137,3 +139,73 @@ def test_dispersion_method_choice(lieb_graph, lieb_labeling):
     assert matrix.dispersion(method="leibniz") == matrix.dispersion(method="bareiss")
     with pytest.raises(ValueError):
         matrix.dispersion(method="cofactor")
+
+
+def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> LaurentMatrix:
+    """L(z) from Laurent arithmetic: zero entries plus one monomial per class side."""
+    d = graph.dimension
+    n = graph.num_orbits
+    rows = [
+        [LaurentPoly.zero(d) for _ in range(n)]
+        for _ in range(n)
+    ]
+    for v in range(n):
+        rows[v][v] = LaurentPoly.constant(d, labeling.potentials[v])
+    for i, j, a in graph.sorted_edges():
+        w = labeling.weights[(i, j, a)]
+        direct = LaurentPoly.monomial(d, a, 0, w)
+        reverse = LaurentPoly.monomial(d, tuple(-e for e in a), 0, w)
+        if i == j:
+            rows[i][i] = rows[i][i] + direct + reverse
+        else:
+            rows[i][j] = rows[i][j] + direct
+            rows[j][i] = rows[j][i] + reverse
+    return LaurentMatrix(rows)
+
+
+@st.composite
+def labeled_graphs(draw):
+    """n = 1..7 orbits in d = 1..3, self classes included, up to n + 2 classes.
+
+    About half the potentials are zero; labels have denominators
+    up to 10^6, and one labeling in five may carry zero weights.
+    """
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 3))
+    offset = st.tuples(*([st.integers(-2, 2)] * d))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), offset),
+                        max_size=n + 2))
+    edges = set()
+    for i, j, a in raw:
+        if i != j or any(a):
+            edges.add(canonicalize_edge(i, j, a))
+    graph = PeriodicGraph(d, n, sorted(edges))
+    label = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+    potentials = [draw(st.just(0) | label) for _ in range(n)]
+    allow_zero = draw(st.integers(0, 4)) == 0
+    weight = label if allow_zero else label.filter(bool)
+    weights = {edge: draw(weight) for edge in graph.sorted_edges()}
+    return Labeling(graph, potentials, weights, allow_zero=allow_zero)
+
+
+@given(labeling=labeled_graphs())
+@example(labeling=Labeling(PeriodicGraph(1, 1, [(0, 0, (1,))]), [0], {(0, 0, (1,)): 2}))
+@example(labeling=Labeling(PeriodicGraph(2, 2, [(0, 0, (1, -1)), (0, 1, (0, 0))]),
+                           [Fraction(1, 10**6), 0],
+                           {(0, 0, (1, -1)): Fraction(-3, 7), (0, 1, (0, 0)): 0},
+                           allow_zero=True))
+@settings(max_examples=80, deadline=None)
+def test_packed_build_matches_the_laurent_oracle(labeling):
+    graph = labeling.graph
+    oracle = _build_matrix(graph, labeling)
+    matrix = FloquetMatrix(graph, labeling)
+    assert matrix.matrix == oracle
+    assert matrix.char_matrix() == oracle.minus_lam_identity()
+    assert matrix.dispersion() == det_bareiss(oracle.minus_lam_identity())
+
+
+def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):
+    matrix = FloquetMatrix(lieb_graph, lieb_labeling)
+    matrix.dispersion()
+    assert matrix._matrix is None
+    assert matrix.matrix is matrix.matrix

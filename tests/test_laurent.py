@@ -151,6 +151,16 @@ def test_minus_lam_identity():
     assert m[0][1] == z
 
 
+def test_minus_lam_identity_edits_lam_terms_of_the_diagonal():
+    z = LaurentPoly.z_var(1, 0)
+    lam = LaurentPoly.lam(1)
+    m = LaurentMatrix([[lam + z, lam], [lam.scale(3), z]]).minus_lam_identity()
+    assert m[0][0] == z and m[0][0].support() == {(1, 0)}
+    assert m[0][1] == lam
+    assert m[1][0] == lam.scale(3)
+    assert m[1][1] == z - lam
+
+
 def test_two_by_two_determinant():
     z = LaurentPoly.z_var(1, 0)
     lam = LaurentPoly.lam(1)

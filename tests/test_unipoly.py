@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatbands import unipoly
 
@@ -148,3 +148,46 @@ def test_gcd_divides_both_and_sees_common_factor(p, q, common):
         lifted = unipoly.gcd(unipoly.mul(p, common), unipoly.mul(q, common))
         _, rem = unipoly.divmod_exact(lifted, unipoly.monic(common))
         assert rem == ()
+
+
+def _euclid_gcd(p, q):
+    """Monic gcd by Fraction Euclid, a primitive reduction after each step."""
+    a, b = unipoly.normalize(p), unipoly.normalize(q)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return (F(1),)
+        _, rem = unipoly.divmod_exact(a, b)
+        a, b = b, rem
+        if b:
+            b = tuple(F(c) for c in unipoly.primitive_part(b))
+    return unipoly.monic(a) if a else ()
+
+
+wide_coeff = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+wide_poly = st.lists(wide_coeff, max_size=6).map(unipoly.normalize)
+
+
+@given(p=wide_poly, q=wide_poly, common=poly)
+@example(p=(), q=(), common=())
+@example(p=(), q=(F(-6), F(2)), common=())
+@example(p=(F(7, 3),), q=(F(1), F(1)), common=(F(-1), F(1)))
+@example(p=(F(2), F(1)), q=(F(-3), F(1)), common=(F(1), F(-2), F(1)))
+@example(p=(F(1),), q=(F(1),), common=(F(-1, 2), F(0), F(0), F(1)))
+@settings(max_examples=150, deadline=None)
+def test_integer_gcd_matches_fraction_euclid(p, q, common):
+    left, right = unipoly.mul(p, common), unipoly.mul(q, common)
+    expected = _euclid_gcd(left, right)
+    got = unipoly.gcd(left, right)
+    assert got == expected
+    assert all(type(c) is F for c in got)
+    assert unipoly.gcd(right, left) == expected
+    as_ints = unipoly.primitive_part(left), unipoly.primitive_part(right)
+    assert unipoly.gcd(*as_ints) == expected
+
+
+def test_primitive_part():
+    assert unipoly.primitive_part((F(1, 2), F(-3, 4), 0, 0)) == (-2, 3)
+    assert unipoly.primitive_part([4, 6]) == (2, 3)
+    assert unipoly.primitive_part((0, 0)) == ()
