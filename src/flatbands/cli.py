@@ -389,7 +389,12 @@ def cmd_bands(args) -> int:
     _check_float_labels(spec, labeling)
     matrix = FloquetMatrix(spec.graph, labeling)
     sample = sample_bands(matrix, resolution=args.resolution)
-    flags = numeric_flat_flags(sample, args.tol)
+    # --tol is relative to the largest |band value|, so that the verdicts do
+    # not depend on the scale of the labels; the floor keeps a positive
+    # tolerance positive at the smallest scales
+    scale = max(abs(value) for row in sample.bands for value in row)
+    tol = max(args.tol * scale, math.ulp(0.0)) if scale and args.tol > 0 else args.tol
+    flags = numeric_flat_flags(sample, tol)
     exact = flat_bands(matrix.dispersion())
     crosschecks = []
     for (root, multiplicity), verified in zip(exact.rational_roots, exact.verified):
@@ -397,9 +402,9 @@ def cmd_bands(args) -> int:
         matching = [
             j + 1
             for j in range(spec.graph.num_orbits)
-            if max(abs(row[j] - target) for row in sample.bands) < args.tol
+            if max(abs(row[j] - target) for row in sample.bands) < tol
         ]
-        present = flat_energy_presence(sample, target, multiplicity, args.tol)
+        present = flat_energy_presence(sample, target, multiplicity, tol)
         crosschecks.append({
             "energy": _rational_out(root),
             "multiplicity": multiplicity,
@@ -490,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=16,
                    help="grid points per torus axis (default 16)")
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="flatness tolerance for flagging bands (default 1e-8)")
+                   help="flatness tolerance for flagging bands, relative to the "
+                        "largest |band value| of the sample (absolute when every "
+                        "value is 0; default 1e-8)")
     p.add_argument("--out", help="write the band grid to this CSV path")
     return parser
 

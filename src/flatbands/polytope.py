@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentMatrix, LaurentPoly, WeightVector, determinant
+from .laurent import LaurentPoly, WeightVector
 from .sampling import random_labeling, rng_for
 
 Point = tuple[int, ...]
@@ -453,13 +453,9 @@ def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence
     if n == 1:
         # the cofactor of a 1 x 1 pencil is the empty determinant, 1
         return None if (0,) * len(w) in members else 0
-    pencil = FloquetMatrix(graph, base).char_matrix().entries
+    matrix = FloquetMatrix(graph, base)
     for orbit in range(n):
-        cofactor = determinant(LaurentMatrix(
-            [entry for j, entry in enumerate(row) if j != orbit]
-            for i, row in enumerate(pencil) if i != orbit
-        ))
-        if members.isdisjoint(cofactor.support()):
+        if members.isdisjoint(matrix.principal_cofactor(orbit).support()):
             return orbit
     return None
 

@@ -251,6 +251,34 @@ class TestBands:
                                          2.0 * math.sqrt(2.0) * w], strict=True):
             assert abs(got - want) <= 1e-12 * w
 
+    @pytest.mark.parametrize("weight", ["1", "1e160", "1e-170", "1e300", "1e-300"])
+    def test_verdicts_do_not_depend_on_the_label_scale(self, capsys, tmp_path, weight):
+        # --tol is relative to the largest |band value|: the exact flat band
+        # at 0 stays consistent and only the middle band is flagged
+        document = json.loads(json.dumps(LIEB_DOCUMENT))
+        for edge in document["edges"]:
+            edge["weight"] = weight
+        path = write_graph(tmp_path, "lieb.json", document)
+        code, out, _ = run_cli(capsys, "--json", "bands", path, "--resolution", "4")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["numeric_flat_bands"] == [2]
+        assert report["tolerance"] == 1e-8
+        check = report["exact_crosscheck"]
+        assert [(c["energy"], c["matching_bands"]) for c in check] == [(0, [2])]
+        assert check[0]["present_at_every_grid_point"] is True
+        assert check[0]["consistent"] is True
+
+    def test_tolerance_is_absolute_when_every_band_is_zero(self, capsys, tmp_path):
+        document = {"dimension": 1, "orbits": [{"id": "1", "potential": 0}], "edges": []}
+        path = write_graph(tmp_path, "zero.json", document)
+        code, out, _ = run_cli(capsys, "--json", "bands", path, "--resolution", "4",
+                               "--tol", "1e-3")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["numeric_flat_bands"] == [1]
+        assert report["exact_crosscheck"][0]["consistent"] is True
+
     def test_entries_beyond_the_float_range_are_an_input_error(self, capsys, tmp_path):
         # every weight is a float, but w + w z1 at z1 = 1 is not
         document = json.loads(json.dumps(LIEB_DOCUMENT))
@@ -420,16 +448,44 @@ class TestExactWorkPerCommand:
             assert run_cli(capsys, *argv) == expected
         assert expected[0] == EXIT_OK
 
-    def test_verify_theorem_does_not_import_sympy(self):
-        # the default sweep meets cubic flat-band polynomials by graph 20
-        code = ("import contextlib, io, sys\n"
+    def test_no_subcommand_imports_sympy(self, tmp_path, lieb_json_path):
+        # a z-free 3-orbit cycle: its flat-band polynomial is the irreducible
+        # cubic lam^3 - 3 lam^2 - lam + 1; the default sweep meets cubic
+        # flat-band polynomials by graph 20
+        cubic = write_graph(tmp_path, "cubic.json", {
+            "dimension": 1,
+            "orbits": [{"id": "a", "potential": 1}, {"id": "b", "potential": 2},
+                       {"id": "c", "potential": 0}],
+            "edges": [{"from": "a", "to": "b", "offset": [1], "weight": 1},
+                      {"from": "b", "to": "c", "offset": [-2], "weight": 1},
+                      {"from": "c", "to": "a", "offset": [1], "weight": 1}],
+        })
+        commands = [["analyze", cubic], ["generic", cubic], ["polytope", lieb_json_path],
+                    ["bands", lieb_json_path, "--resolution", "4"],
+                    ["verify-theorem", "--count", "20"]]
+        code = ("import contextlib, io, json, sys\n"
+                "if sys.argv[1] == 'block':\n"
+                "    sys.modules['sympy'] = None\n"
                 "from flatbands.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    code = main(['verify-theorem', '--count', '20'])\n"
-                "print(code, 'sympy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
-        assert proc.stdout.split() == [str(EXIT_OK), "False"], proc.stderr
+                "runs = []\n"
+                "for argv in json.loads(sys.argv[2]):\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        runs.append([main(argv), out.getvalue()])\n"
+                "print(json.dumps([runs, 'sympy' in sys.modules]))")
+
+        def child(mode):
+            proc = subprocess.run([sys.executable, "-c", code, mode, json.dumps(commands)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            return json.loads(proc.stdout)
+
+        runs, imported = child("allow")
+        assert not imported
+        assert child("block")[0] == runs
+        assert [exit_code for exit_code, _ in runs] == [
+            EXIT_FLAT_BAND, EXIT_FLAT_BAND, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert "lam^3 - 3*lam^2 - lam + 1" in runs[0][1]
 
     def test_analyze_takes_one_determinant(self, capsys, monkeypatch, lieb_json_path):
         calls = []

@@ -201,7 +201,12 @@ def test_packed_build_matches_the_laurent_oracle(labeling):
     matrix = FloquetMatrix(graph, labeling)
     assert matrix.matrix == oracle
     assert matrix.char_matrix() == oracle.minus_lam_identity()
-    assert matrix.dispersion() == det_bareiss(oracle.minus_lam_identity())
+    pencil = oracle.minus_lam_identity().entries
+    assert matrix.dispersion() == det_bareiss(LaurentMatrix(pencil))
+    for v in range(graph.num_orbits if graph.num_orbits > 1 else 0):
+        minor = LaurentMatrix([entry for j, entry in enumerate(row) if j != v]
+                              for i, row in enumerate(pencil) if i != v)
+        assert matrix.principal_cofactor(v) == det_bareiss(minor)
 
 
 def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):

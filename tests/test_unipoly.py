@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from flatbands import unipoly
@@ -191,3 +192,71 @@ def test_primitive_part():
     assert unipoly.primitive_part((F(1, 2), F(-3, 4), 0, 0)) == (-2, 3)
     assert unipoly.primitive_part([4, 6]) == (2, 3)
     assert unipoly.primitive_part((0, 0)) == ()
+
+
+def _sympy_factor(p):
+    """factor_rational's contract computed by sympy.factor_list over QQ."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p))
+    _, factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))
+    roots, others = [], []
+    for factor, mult in factors:
+        coeffs = unipoly.normalize([F(str(c)) for c in reversed(factor.all_coeffs())])
+        if len(coeffs) == 2:
+            roots.append((-coeffs[0] / coeffs[1], int(mult)))
+        else:
+            others.append((unipoly.monic(coeffs), int(mult)))
+    return sorted(roots), sorted(others)
+
+
+def _product(factors):
+    out = (F(1),)
+    for factor, mult in factors:
+        for _ in range(mult):
+            out = unipoly.mul(out, unipoly.normalize(factor))
+    return out
+
+
+huge_coeff = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-2**160, 2**160),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def factored_poly(draw):
+    """A product of random factors, some repeated, of total degree 3..14."""
+    factors, total = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        room = 14 - total
+        if room < 1:
+            break
+        degree = draw(st.integers(1, min(4, room)))
+        mult = draw(st.integers(1, max(1, min(3, room // degree))))
+        coeffs = draw(st.lists(huge_coeff, min_size=degree, max_size=degree))
+        lead = draw(st.one_of(st.integers(1, 6), huge_coeff.filter(bool)))
+        factors.append((coeffs + [lead], mult))
+        total += degree * mult
+    p = _product(factors)
+    if unipoly.degree(p) < 3:
+        p = unipoly.mul(p, (F(1), F(0), F(0), F(1)))
+    return p
+
+
+@given(p=factored_poly())
+# Swinnerton-Dyer quartic: splits modulo every prime, so the modular
+# factors must be recombined
+@example(p=unipoly.normalize([1, 0, -10, 0, 1]))
+@example(p=_product([([-2, 0, 1], 1), ([-3, 0, 1], 1), ([F(-1, 3), 1], 2)]))
+# an irreducible flat-band quartic of the benchmark's dispersion corpus
+@example(p=unipoly.normalize([F(20847348761825984, 104135625), F(7112028062516, 378675),
+                              F(-633566841739, 617100), F(2014264, 765), 1]))
+# the leading coefficient is divisible by the first eight odd primes
+@example(p=_product([([1, 2, 3, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23], 1),
+                     ([5, 0, 3 * 5 * 7 * 11 * 13, 1], 2)]))
+@settings(max_examples=60, deadline=None)
+def test_factor_rational_matches_sympy(p):
+    expected = _sympy_factor(p)
+    assert unipoly.factor_rational(p) == expected
+    assert unipoly.factor_rational(unipoly.scale(p, F(-7, 3))) == expected
