@@ -24,7 +24,7 @@ from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, load_graph_text, parse_graph_spec)
 from .laurent import (LaurentMatrix, LaurentPoly, WeightVector, det_bareiss,
                       det_leibniz, determinant, facial_polynomial, format_poly)
-from .polytope import (FaceDescriptor, GenericSupportEstimate, NewtonPolytopeData,
+from .polytope import (FaceDescriptor, NewtonPolytopeData,
                        extreme_points, face_of, facial_independence_witness,
                        generic_support, hulls_equal, in_convex_hull,
                        is_vertical_segment, minkowski_sum, newton_polytope_data,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandSample", "EdgeClass", "FaceDescriptor", "FlatBandReport", "FloquetMatrix",
-    "GenericFlatBandDecision", "GenericSupportEstimate", "GraphFormatError",
+    "GenericFlatBandDecision", "GraphFormatError",
     "GraphSpec", "InheritanceResult", "IrreducibleFactor", "Labeling",
     "LaurentMatrix", "LaurentPoly", "NewtonPolytopeData", "PeriodicGraph",
     "QuotientGraph", "ShiftAssignment", "WeightVector", "build_floquet",

@@ -230,20 +230,18 @@ def cmd_generic(args) -> int:
 def cmd_polytope(args) -> int:
     spec = load_graph_file(args.file)
     graph = spec.graph
-    estimate = generic_support(graph, trials=args.trials, seed=args.seed)
-    points = sorted(estimate.points)
-    vertical = is_vertical_segment(estimate.points)
+    support = generic_support(graph)
+    vertical = is_vertical_segment(support)
     document = {
         "command": "polytope",
         "seed": args.seed,
-        "trials": args.trials,
         "graph": _graph_section(spec),
-        "generic_support": [list(p) for p in points],
+        "generic_support": [list(p) for p in sorted(support)],
         "vertical_segment": vertical,
     }
     if vertical:
         ladder = {(0,) * graph.dimension + (b,) for b in range(graph.num_orbits + 1)}
-        document["vertical_segment_is_full_ladder"] = estimate.points == ladder
+        document["vertical_segment_is_full_ladder"] = support == ladder
         document["faces"] = []
         document["notice"] = "support is a vertical segment; no proper vertical faces"
     elif graph.dimension > 2:
@@ -253,10 +251,10 @@ def cmd_polytope(args) -> int:
         representative = random_labeling(graph, rng_for(args.seed, "facial"))
         rep_dispersion = dispersion_polynomial(graph, representative)
         faces = []
-        for k, face in enumerate(vertical_faces(estimate.points)):
+        for k, face in enumerate(vertical_faces(support)):
             witness = facial_independence_witness(
                 graph, face.normal, rng_for(args.seed, "witness", k),
-                support_points=estimate.points,
+                support_points=support,
             )
             facial = LaurentPoly(
                 graph.dimension,
@@ -315,8 +313,8 @@ def cmd_verify_theorem(args) -> int:
         else:
             both_none += 1
 
-        estimate = generic_support(graph, trials=args.trials, seed=f"{args.seed}/sup/{t}")
-        segment = is_vertical_segment(estimate.points)
+        support = generic_support(graph)
+        segment = is_vertical_segment(support)
         whole_domain = has_support_zero_domain(graph)
         if segment != whole_domain:
             disagreements.append({
@@ -332,7 +330,7 @@ def cmd_verify_theorem(args) -> int:
                     (0,) * graph.dimension + (b,)
                     for b in range(graph.num_orbits + 1)
                 }
-                if estimate.points != ladder:
+                if support != ladder:
                     ladder_failures.append({"trial": t, "graph": serialized})
 
     if disagreements or ladder_failures:
@@ -467,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope", help="generic support, vertical faces, witnesses")
     add_common(p)
-    p.add_argument("--trials", type=int, default=5,
-                   help="labelings pooled into the generic support (default 5)")
 
     p = sub.add_parser(
         "verify-theorem",
@@ -477,12 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "disconnected or edge-free) and checks that the "
                     "support-zero-component search agrees with the randomized "
                     "algebraic flat-band decision, plus the vertical-segment "
-                    "equivalence for the whole fundamental domain.",
+                    "equivalence for the whole fundamental domain, decided on "
+                    "the exact generic support.",
     )
     add_common(p, with_file=False)
     p.add_argument("--count", type=int, default=200, help="graphs to generate (default 200)")
     p.add_argument("--trials", type=int, default=5,
-                   help="random labelings per graph and oracle (default 5)")
+                   help="random labelings per graph for the flat-band decision (default 5)")
     p.add_argument("--dims", default="1,2", help="comma-separated dimensions (default 1,2)")
     p.add_argument("--max-orbits", type=int, default=4, help="orbit cap per graph (default 4)")
     p.add_argument("--max-edges", type=int, default=6, help="edge-class cap (default 6)")

@@ -8,11 +8,13 @@ The construction makes ``L(1/z)`` the transpose of ``L(z)``.
 
 A `FloquetMatrix` is built in one pass over the sorted edge classes into
 per-row ``(column, exponent, coefficient)`` triples of the pencil
-L(z) - lam * I, packed at once for the integer determinant.  Distinct
-classes give distinct exponents within an entry, so no term is ever
-summed.  The Laurent matrices `matrix` and `char_matrix()` are built from
-the same triples, and only when something reads them.  The polytope
-witnesses' principal cofactors are packed from those triples too.
+L(z) - lam * I.  Distinct classes give distinct exponents within an
+entry, so no term is ever summed.  The triples are packed for the
+integer determinant on the first `dispersion()` call, and the Laurent
+matrices `matrix` and `char_matrix()` are built from them only when
+something reads them.  The polytope witnesses' principal cofactors are
+packed from those triples too.  `pattern_pencil` packs the same rows
+with every label set to 1, the pencil's 0/1 pattern.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentMatrix, LaurentPoly, determinant, pack_rows
+from .laurent import LaurentMatrix, LaurentPoly, PackedPencil, determinant, pack_rows
 
 _MINUS_ONE = Fraction(-1)
 
@@ -29,7 +31,7 @@ _MINUS_ONE = Fraction(-1)
 class FloquetMatrix:
     """Matrix-valued symbol of the periodic operator, with cached dispersion."""
 
-    __slots__ = ("graph", "labeling", "_rows", "_pencil", "_matrix", "_dispersion")
+    __slots__ = ("graph", "labeling", "_rows", "_matrix", "_dispersion")
 
     def __init__(self, graph: PeriodicGraph, labeling: Labeling):
         if labeling.graph != graph:
@@ -38,7 +40,6 @@ class FloquetMatrix:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labeling", labeling)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_pencil", pack_rows(graph.dimension, rows))
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_dispersion", None)
 
@@ -85,15 +86,18 @@ class FloquetMatrix:
     def dispersion(self, method: str = "auto") -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.
 
-        The integer kernels take the packed pencil; ``bareiss`` takes the
-        Laurent pencil.  The lam-leading coefficient is (-1)^n by
-        construction, which is asserted here as a cheap sanity check on
-        the determinant code.
+        The integer kernels take the pencil packed from the triples here;
+        ``bareiss`` takes the Laurent pencil.  The lam-leading coefficient
+        is (-1)^n by construction, which is asserted here as a cheap
+        sanity check on the determinant code.
         """
         cached = self._dispersion
         if cached is not None and method == "auto":
             return cached
-        pencil = self._pencil if method in ("auto", "leibniz") else self.char_matrix()
+        if method in ("auto", "leibniz"):
+            pencil = pack_rows(self.graph.dimension, self._rows)
+        else:
+            pencil = self.char_matrix()
         poly = determinant(pencil, method=method)
         n = self.size
         lead = (0,) * self.graph.dimension + (n,)
@@ -106,19 +110,26 @@ class FloquetMatrix:
         return poly
 
 
-def _pencil_rows(graph: PeriodicGraph, labeling: Labeling
-                 ) -> list[list[tuple[int, tuple[int, ...], Fraction]]]:
+def _pencil_rows(graph: PeriodicGraph, labeling: Labeling | None = None
+                 ) -> list[list[tuple[int, tuple[int, ...], Fraction | int]]]:
     """Per-row (column, exponent, coefficient) triples of L(z) - lam * I.
 
     Row v lists the potential, then w * z^a or w * z^-a for each class in
     sorted order, then -lam on the diagonal; zero labels are left out.
+    Without a labeling every potential and weight is 1, which gives the
+    pencil's pattern: each entry lists every monomial any labeling can
+    put there.
     """
     d = graph.dimension
     zero = (0,) * d
+    if labeling is None:
+        potentials = [1] * graph.num_orbits
+        weights = dict.fromkeys(graph.edge_classes, 1)
+    else:
+        potentials, weights = labeling.potentials, labeling.weights
     rows = []
-    for v, potential in enumerate(labeling.potentials):
+    for v, potential in enumerate(potentials):
         rows.append([(v, zero + (0,), potential)] if potential else [])
-    weights = labeling.weights
     for edge in graph.sorted_edges():
         w = weights[edge]
         if not w:
@@ -130,6 +141,11 @@ def _pencil_rows(graph: PeriodicGraph, labeling: Labeling
     for v, row in enumerate(rows):
         row.append((v, lam, _MINUS_ONE))
     return rows
+
+
+def pattern_pencil(graph: PeriodicGraph) -> PackedPencil:
+    """The packed pencil of `graph` with every potential and weight set to 1."""
+    return pack_rows(graph.dimension, _pencil_rows(graph))
 
 
 def build_floquet(graph: PeriodicGraph, labeling: Labeling) -> FloquetMatrix:

@@ -14,7 +14,9 @@ the row denominators.  One expander, `det_leibniz`, takes such a pencil
 (or a `LaurentMatrix`, which it packs first), expands minors memoized on
 column bitmasks, and divides the denominators back out once per output
 term.  `det_bareiss` (fraction-free elimination over the Laurent ring)
-is the independent oracle it is tested against.
+is the independent oracle it is tested against.  `support_leibniz` runs
+the same expansion on exponent sets alone: the support of the permanent
+of the pencil's pattern.  Both decode packed keys through `_unpack`.
 """
 
 from __future__ import annotations
@@ -189,19 +191,6 @@ class LaurentPoly:
         if not scalar:
             return LaurentPoly.zero(self.dimension)
         return LaurentPoly(self.dimension, {k: v * scalar for k, v in self._terms.items()})
-
-    def __pow__(self, exponent: int) -> "LaurentPoly":
-        if exponent < 0:
-            raise ValueError("negative powers of polynomials are not supported")
-        result = LaurentPoly.constant(self.dimension, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, z_offsets: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial z^z_offsets."""
@@ -407,6 +396,7 @@ def pack_rows(dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, objec
     m = max([1] + [abs(e) for row in rows for _, key, _ in row for e in key])
     base = 2 * n * m + 1
     powers = [base ** k for k in range(dimension + 1)]
+    packed_keys: dict[Exponent, int] = {}
     packed_rows = []
     denominator = 1
     for row in rows:
@@ -414,14 +404,16 @@ def pack_rows(dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, objec
         denominator *= scale
         columns: dict[int, list[tuple[int, int]]] = {}
         for col, key, coeff in row:
-            term = (sum([e * p for e, p in zip(key, powers)]),
-                    coeff.numerator * (scale // coeff.denominator))
+            packed = packed_keys.get(key)
+            if packed is None:
+                packed = packed_keys[key] = sum([e * p for e, p in zip(key, powers)])
+            term = (packed, coeff.numerator * (scale // coeff.denominator))
             if col in columns:
                 columns[col].append(term)
             else:
                 columns[col] = [term]
         packed_rows.append([
-            (1 << col, tuple(terms), tuple((k, -c) for k, c in terms))
+            (1 << col, tuple(terms), tuple([(k, -c) for k, c in terms]))
             for col, terms in sorted(columns.items())
         ])
     return PackedPencil(n, dimension, base, packed_rows, denominator)
@@ -476,18 +468,56 @@ def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
         memo[mask] = result
         return result
 
-    half = base // 2
-    out: dict[Exponent, Fraction] = {}
-    for packed, value in minor((1 << n) - 1).items():
-        exponent = []
-        for _ in range(dim + 1):
-            digit = packed % base
-            if digit > half:
-                digit -= base
-            exponent.append(digit)
-            packed = (packed - digit) // base
-        out[tuple(exponent)] = Fraction(value, denominator)
+    out = {_unpack(packed, base, dim): Fraction(value, denominator)
+           for packed, value in minor((1 << n) - 1).items()}
     return LaurentPoly._from_terms(dim, out)
+
+
+def support_leibniz(pencil: PackedPencil) -> frozenset[Exponent]:
+    """Support of the permanent of the pencil's pattern: every reachable exponent.
+
+    The same row expansion as `det_leibniz`, memoized on column bitmasks,
+    with sets of packed exponents in place of coefficient dicts: the
+    minor on ``mask`` is the union of ``{key + s}`` over the keys of each
+    entry in its row and the exponents s of the sub-minor.  Coefficients
+    and signs are ignored, so this is the support of the determinant
+    exactly when no two cover terms with one exponent can cancel; see
+    `flatbands.polytope.generic_support` for why that holds for a
+    pencil whose every label is an indeterminate.
+    """
+    n = pencil.size
+    rows = [[(bit, [key for key, _ in terms]) for bit, terms, _ in row]
+            for row in pencil.rows]
+    memo: dict[int, set[int]] = {0: {0}}
+
+    def minor(mask: int) -> set[int]:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        acc: set[int] = set()
+        for bit, keys in rows[n - mask.bit_count()]:
+            if mask & bit:
+                sub = minor(mask ^ bit)
+                acc |= {key + s for key in keys for s in sub}
+        memo[mask] = acc
+        return acc
+
+    base = pencil.base
+    dim = pencil.dimension
+    return frozenset(_unpack(packed, base, dim) for packed in minor((1 << n) - 1))
+
+
+def _unpack(packed: int, base: int, dimension: int) -> Exponent:
+    """Balanced base-``base`` digits of a packed key: its exponent tuple."""
+    half = base // 2
+    exponent = []
+    for _ in range(dimension + 1):
+        digit = packed % base
+        if digit > half:
+            digit -= base
+        exponent.append(digit)
+        packed = (packed - digit) // base
+    return tuple(exponent)
 
 
 def _exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

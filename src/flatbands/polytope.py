@@ -13,6 +13,26 @@ those in one pass.  Each survivor is then tested against the points still
 in the running, a set that shrinks as non-vertices drop out; it always
 holds every vertex, so it decides each point as the full set would.
 
+The generic support, the support of the dispersion D(z, lam) when every
+potential and weight is its own indeterminate, is computed exactly from
+the graph and needs no labels.  Expand D = det(L(z) - lam I) over
+permutations and each entry into its monomials.  A term is a cycle
+cover of the orbits: each fixed orbit picks its potential, -lam or a
+self-class term w z^(+-a), and each longer cycle picks one class per
+step between two orbits.  The label monomial of a term names the
+classes it used, with multiplicity.  Those between two orbits form a
+multigraph in which every covered orbit has degree two, so its
+components are the cover's cycles; the potentials and self classes name
+the other diagonal picks, and the orbits left over pick -lam.  The sign
+of the term, (-1)^(number of lam picks) times the permutation's sign
+(-1)^(sum of cycle length - 1), is therefore fixed by its label
+monomial.  Terms with one label monomial, one z-power and one lam power
+share a sign and cannot cancel, so the coefficient of z^a lam^b is a
+nonzero polynomial in the labels exactly when some cover reaches
+(a, b).  The generic support is thus the support of the permanent of
+the pencil's 0/1 pattern, which `flatbands.laurent.support_leibniz`
+expands.
+
 Facial independence witnesses come from principal cofactors: the
 dispersion is affine in each potential p_v with slope the determinant
 of the pencil without row and column v, so one (n-1)-orbit determinant
@@ -27,21 +47,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .floquet import FloquetMatrix, dispersion_polynomial
+from .floquet import FloquetMatrix, pattern_pencil
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentPoly, WeightVector
-from .sampling import random_labeling, rng_for
+from .laurent import LaurentPoly, WeightVector, support_leibniz
+from .sampling import random_labeling
 
 Point = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GenericSupportEstimate:
-    """Union of dispersion supports over `trials` random labelings."""
-
-    trials: int
-    seed: int | str
-    points: frozenset[Point]
 
 
 @dataclass(frozen=True)
@@ -66,23 +77,20 @@ class NewtonPolytopeData:
     face_descriptors: tuple[FaceDescriptor, ...] | None
 
 
-def generic_support(graph: PeriodicGraph, trials: int = 5, seed: int | str = 0
-                    ) -> GenericSupportEstimate:
-    """Estimate the labeling-independent support of the dispersion.
+def generic_support(graph: PeriodicGraph) -> frozenset[Point]:
+    """Exact support of the dispersion for generic labels.
 
-    Draws `trials` independent random rational labelings (weights kept
-    nonzero) and unions the supports.  A monomial whose coefficient is a
-    nonzero polynomial in the labels survives some draw with overwhelming
-    probability, so the union stabilizes quickly; trial t is reproducible
-    from (seed, t) alone.
+    Every potential and weight is taken as its own indeterminate.  The
+    terms of det(L(z) - lam I) that share a label monomial, a z-power and
+    a lam power come from cycle covers with one cycle structure and one
+    number of lam picks, so they share a sign and never cancel (see the
+    module docstring).  The generic support is therefore the support of
+    the permanent of the pencil's 0/1 pattern: the constant and lam on
+    the diagonal, z^(+-a) for each self class, and z^a / z^-a off the
+    diagonal.  It contains the support of every labeled dispersion, and
+    equals it for labels off a proper algebraic subset.
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    points: set[Point] = set()
-    for t in range(trials):
-        labeling = random_labeling(graph, rng_for(seed, "generic", t))
-        points |= dispersion_polynomial(graph, labeling).support()
-    return GenericSupportEstimate(trials=trials, seed=seed, points=frozenset(points))
+    return support_leibniz(pattern_pencil(graph))
 
 
 def is_vertical_segment(points: Iterable[Point]) -> bool:
@@ -431,15 +439,14 @@ def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence
     C_v.  Returns the first independent orbit index (0-based), or None
     when every potential showed up in the face coefficients.
 
-    `support_points` should be a generic support estimate; it is computed
-    with default settings when omitted.  `w` must pick out a proper
-    vertical face of it.
+    `support_points` defaults to the exact `generic_support` of the
+    graph.  `w` must pick out a proper vertical face of it.
     """
     w = tuple(w)
     if len(w) != graph.dimension + 1 or w[-1] != 0:
         raise ValueError("weight vector must have a zero lam component")
     if support_points is None:
-        support_points = generic_support(graph).points
+        support_points = generic_support(graph)
     pts = set(support_points)
     descriptor = face_of(pts, w)
     if len(descriptor.members) == len(pts):
@@ -478,11 +485,7 @@ def permutation_product(matrix: FloquetMatrix, sigma: Sequence[int]) -> LaurentP
 
 
 def sigma_support_check(graph: PeriodicGraph, labeling: Labeling,
-                        sigma: Sequence[int],
-                        estimate: GenericSupportEstimate | None = None,
-                        trials: int = 5, seed: int | str = 0) -> bool:
+                        sigma: Sequence[int]) -> bool:
     """Whether the permutation product's support sits inside the generic one."""
-    if estimate is None:
-        estimate = generic_support(graph, trials=trials, seed=seed)
     product = permutation_product(FloquetMatrix(graph, labeling), sigma)
-    return product.support() <= estimate.points
+    return product.support() <= generic_support(graph)

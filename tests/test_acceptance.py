@@ -55,17 +55,9 @@ from flatbands.unipoly import normalize
 CORPUS_SEED = 42
 CORPUS_SIZE = 200
 
-_estimates: dict[int, object] = {}
-
 
 def corpus_graph(t: int) -> PeriodicGraph:
     return random_periodic_graph(rng_for(CORPUS_SEED, "graph", t))
-
-
-def corpus_estimate(graph: PeriodicGraph, t: int):
-    if t not in _estimates:
-        _estimates[t] = generic_support(graph, trials=5, seed=f"{CORPUS_SEED}/sup/{t}")
-    return _estimates[t]
 
 
 def verdict(number: int, title: str, ok: bool, detail: str) -> None:
@@ -144,8 +136,8 @@ def test_criterion_4_vertical_segment_equivalence():
     segments = 0
     for t in range(CORPUS_SIZE):
         graph = corpus_graph(t)
-        estimate = corpus_estimate(graph, t)
-        segment = is_vertical_segment(estimate.points)
+        support = generic_support(graph)
+        segment = is_vertical_segment(support)
         if segment != has_support_zero_domain(graph):
             mismatches.append(t)
         if segment:
@@ -154,7 +146,7 @@ def test_criterion_4_vertical_segment_equivalence():
                 (0,) * graph.dimension + (b,)
                 for b in range(graph.num_orbits + 1)
             }
-            if estimate.points != ladder:
+            if support != ladder:
                 bad_ladders.append(t)
     ok = not mismatches and not bad_ladders
     verdict(4, "vertical-segment equivalence", ok,
@@ -171,8 +163,7 @@ def test_criterion_5_sigma_support_containment():
         rng = rng_for("sigma", "perm", t)
         sigma = list(range(graph.num_orbits))
         rng.shuffle(sigma)
-        if not sigma_support_check(graph, labeling, tuple(sigma),
-                                   trials=5, seed=f"sigma/sup/{t}"):
+        if not sigma_support_check(graph, labeling, tuple(sigma)):
             failures.append(t)
     verdict(5, "permutation-term support containment", not failures,
             f"{100 - len(failures)}/100 triples contained; failures {failures}")
@@ -186,16 +177,16 @@ def test_criterion_6_facial_independence_witnesses():
         graph = corpus_graph(t)
         if has_support_zero_domain(graph):
             continue
-        estimate = corpus_estimate(graph, t)
-        if is_vertical_segment(estimate.points):
+        support = generic_support(graph)
+        if is_vertical_segment(support):
             continue
-        faces = vertical_faces(estimate.points)
+        faces = vertical_faces(support)
         if faces:
             eligible += 1
         for k, face in enumerate(faces):
             witness = facial_independence_witness(
                 graph, face.normal, rng_for("witness", t, k),
-                support_points=estimate.points,
+                support_points=support,
             )
             faces_checked += 1
             if witness is None:

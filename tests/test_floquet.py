@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flatbands import floquet
 from flatbands.floquet import (
     FloquetMatrix,
     build_floquet,
@@ -214,3 +215,20 @@ def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):
     matrix.dispersion()
     assert matrix._matrix is None
     assert matrix.matrix is matrix.matrix
+
+
+def test_pencil_is_packed_on_the_first_dispersion(monkeypatch, lieb_graph, lieb_labeling):
+    sizes = []
+    pack = floquet.pack_rows
+
+    def counted_pack(dimension, rows):
+        sizes.append(len(rows))
+        return pack(dimension, rows)
+
+    monkeypatch.setattr(floquet, "pack_rows", counted_pack)
+    matrix = FloquetMatrix(lieb_graph, lieb_labeling)
+    matrix.principal_cofactor(0)
+    assert sizes == [2]
+    first = matrix.dispersion()
+    assert matrix.dispersion() is first
+    assert sizes == [2, 3]

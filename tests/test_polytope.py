@@ -28,6 +28,8 @@ from flatbands.polytope import (
 )
 from flatbands.sampling import random_labeling, random_rational, rng_for
 
+from conftest import LIEB_EDGES
+
 LIEB_SUPPORT = {
     (0, 0, 3),
     (0, 0, 2),
@@ -81,13 +83,24 @@ def test_is_vertical_segment():
         is_vertical_segment(set())
 
 
+def _sampled_support(graph, trials=5, seed=0):
+    """Oracle: union of the dispersion supports of `trials` random labelings.
+
+    A monomial whose coefficient is a nonzero polynomial in the labels
+    survives some draw with overwhelming probability; trial t is
+    reproducible from (seed, t) alone.
+    """
+    points = set()
+    for t in range(trials):
+        labeling = random_labeling(graph, rng_for(seed, "generic", t))
+        points |= dispersion_polynomial(graph, labeling).support()
+    return frozenset(points)
+
+
 def test_generic_support_lieb(lieb_graph):
-    estimate = generic_support(lieb_graph, trials=5, seed=0)
-    assert estimate.points == LIEB_SUPPORT
-    # reproducible: same seed, same estimate
-    assert generic_support(lieb_graph, trials=5, seed=0).points == estimate.points
-    with pytest.raises(ValueError):
-        generic_support(lieb_graph, trials=0)
+    support = generic_support(lieb_graph)
+    assert support == LIEB_SUPPORT
+    assert support == _sampled_support(lieb_graph)
 
 
 def test_projected_normals_interval():
@@ -160,7 +173,7 @@ def test_newton_polytope_data_segment_and_high_d():
 
 class TestFacialIndependenceWitness:
     def test_lieb_witnesses(self, lieb_graph):
-        pts = generic_support(lieb_graph, trials=5, seed=0).points
+        pts = generic_support(lieb_graph)
         cases = {
             (1, 0, 0): 0,
             (-1, 0, 0): 0,
@@ -178,7 +191,7 @@ class TestFacialIndependenceWitness:
             facial_independence_witness(lieb_graph, (1, 0, 1), random.Random(0))
 
     def test_rejects_whole_polytope(self, lieb_graph):
-        pts = generic_support(lieb_graph, trials=5, seed=0).points
+        pts = generic_support(lieb_graph)
         with pytest.raises(ValueError):
             facial_independence_witness(
                 lieb_graph, (0, 0, 0), random.Random(0), support_points=pts
@@ -186,7 +199,7 @@ class TestFacialIndependenceWitness:
 
     def test_rejects_non_vertical_face(self):
         g = PeriodicGraph(1, 1, [(0, 0, (1,))])
-        pts = generic_support(g, trials=5, seed=0).points
+        pts = generic_support(g)
         # w = (1, 0) picks the lone z^-1 corner, which has no vertical pair
         with pytest.raises(ValueError):
             facial_independence_witness(g, (1, 0), random.Random(0), support_points=pts)
@@ -221,14 +234,14 @@ def _two_sample_witness(graph, w, rng, support_points):
 
 
 @st.composite
-def _witness_graphs(draw):
-    """Graphs with n = 1..5, d = 1..2: random classes plus a refittable block.
+def _planted_graphs(draw, max_orbits, max_dimension):
+    """Random classes plus a refittable block on n = 1..max_orbits orbits.
 
     The block's offsets are differences of per-orbit shifts, so it carries
     flat bands for every labeling and a vertical piece in the support.
     """
-    d = draw(st.integers(1, 2))
-    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, max_dimension))
+    n = draw(st.integers(1, max_orbits))
     block = draw(st.integers(0, n))
     core = n - block
     offsets = st.tuples(*[st.integers(-1, 1)] * d)
@@ -250,7 +263,7 @@ def _witness_graphs(draw):
     return PeriodicGraph(d, n, sorted(edges))
 
 
-@given(graph=_witness_graphs())
+@given(graph=_planted_graphs(max_orbits=5, max_dimension=2))
 @example(graph=PeriodicGraph(1, 1, [(0, 0, (1,))]))
 @example(graph=PeriodicGraph(2, 3, [(0, 1, (0, 0)), (1, 2, (0, 0)),
                                     (0, 1, (1, 0)), (1, 2, (0, -1))]))
@@ -258,7 +271,7 @@ def _witness_graphs(draw):
 @example(graph=PeriodicGraph(1, 3, [(0, 0, (1,)), (0, 1, (0,)), (1, 2, (1,))]))
 @settings(max_examples=200, deadline=None)
 def test_cofactor_witness_matches_two_sample_oracle(graph):
-    pts = generic_support(graph, trials=5, seed=0).points
+    pts = generic_support(graph)
     if is_vertical_segment(pts):
         return
     for k, face in enumerate(vertical_faces(pts)):
@@ -266,6 +279,28 @@ def test_cofactor_witness_matches_two_sample_oracle(graph):
         got = facial_independence_witness(
             graph, w, rng_for("witness", k), support_points=pts)
         assert got == _two_sample_witness(graph, w, rng_for("witness", k), pts)
+
+
+@given(graph=_planted_graphs(max_orbits=6, max_dimension=3))
+# two orbits whose self classes have the same offset
+@example(graph=PeriodicGraph(1, 2, [(0, 0, (1,)), (1, 1, (1,)), (0, 1, (0,))]))
+# two classes between one pair of orbits
+@example(graph=PeriodicGraph(2, 2, [(0, 1, (0, 0)), (0, 1, (1, 0))]))
+# a 3-cycle with net offset 0: both orientations land on z^0
+@example(graph=PeriodicGraph(1, 3, [(0, 1, (1,)), (1, 2, (1,)), (0, 2, (2,))]))
+@example(graph=PeriodicGraph(1, 1, [(0, 0, (1,))]))
+@example(graph=PeriodicGraph(2, 1, []))
+@example(graph=PeriodicGraph(2, 3, LIEB_EDGES))
+@settings(max_examples=200, deadline=None)
+def test_generic_support_matches_sampled_labelings(graph):
+    support = generic_support(graph)
+    assert support == _sampled_support(graph, trials=8, seed="support")
+    # labels of 0 and +-1 cancel terms, but never add one outside the support
+    rng = rng_for("support", "degenerate")
+    for _ in range(4):
+        labeling = Labeling(graph, [rng.choice((0, 1)) for _ in range(graph.num_orbits)],
+                            {edge: rng.choice((-1, 1)) for edge in graph.sorted_edges()})
+        assert dispersion_polynomial(graph, labeling).support() <= support
 
 
 def test_cofactor_witness_on_one_orbit():
@@ -282,7 +317,7 @@ def test_cofactor_witness_on_one_orbit():
 
 
 def test_witness_builds_one_matrix_and_takes_n_minus_1_cofactors(monkeypatch, lieb_graph):
-    pts = generic_support(lieb_graph, trials=5, seed=0).points
+    pts = generic_support(lieb_graph)
     faces = vertical_faces(pts)
     builds = []
     sizes = []
@@ -318,17 +353,14 @@ def test_permutation_product(lieb_graph, lieb_labeling):
     matrix = FloquetMatrix(lieb_graph, lieb_labeling)
     diag = permutation_product(matrix, [0, 1, 2])
     lam = -matrix.matrix[0][0].lam(2)
-    assert diag == lam ** 3
+    assert diag == lam * lam * lam
     with pytest.raises(ValueError):
         permutation_product(matrix, [0, 0, 1])
 
 
 def test_sigma_support_check_lieb(lieb_graph, lieb_labeling):
-    estimate = generic_support(lieb_graph, trials=5, seed=0)
     for sigma in ([0, 1, 2], [1, 2, 0], [1, 0, 2], [2, 1, 0]):
-        assert sigma_support_check(
-            lieb_graph, lieb_labeling, sigma, estimate=estimate
-        )
+        assert sigma_support_check(lieb_graph, lieb_labeling, sigma)
 
 
 points_2d = st.lists(

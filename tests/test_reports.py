@@ -26,7 +26,7 @@ PINNED = [
     (("generic", LIEB, "--trials", "100"), 0,
      "d0597d53d59fabd00d47689eadb6407ce68678cfe4cef7a3b939170e869932fd"),
     (("--json", "polytope", LIEB), 0,
-     "34415fa4576a21a009d4266daadd0d570b6a5cdf872bed9403dfecdb287bba04"),
+     "c4fc56232d8d6f45cdfa3e8f73abf515862d2c29592b0c61ee7e32f6e2eb1934"),
 ]
 
 
