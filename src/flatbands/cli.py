@@ -251,10 +251,9 @@ def cmd_polytope(args) -> int:
         representative = random_labeling(graph, rng_for(args.seed, "facial"))
         rep_dispersion = dispersion_polynomial(graph, representative)
         faces = []
-        for k, face in enumerate(vertical_faces(support)):
+        for face in vertical_faces(support):
             witness = facial_independence_witness(
-                graph, face.normal, rng_for(args.seed, "witness", k),
-                support_points=support,
+                graph, face.normal, support_points=support,
             )
             facial = LaurentPoly(
                 graph.dimension,

@@ -12,9 +12,8 @@ L(z) - lam * I.  Distinct classes give distinct exponents within an
 entry, so no term is ever summed.  The triples are packed for the
 integer determinant on the first `dispersion()` call, and the Laurent
 matrices `matrix` and `char_matrix()` are built from them only when
-something reads them.  The polytope witnesses' principal cofactors are
-packed from those triples too.  `pattern_pencil` packs the same rows
-with every label set to 1, the pencil's 0/1 pattern.
+something reads them.  `pattern_pencil` packs the same rows with every
+label set to 1, the pencil's 0/1 pattern.
 """
 
 from __future__ import annotations
@@ -72,16 +71,6 @@ class FloquetMatrix:
                     terms[col][key] = coeff
             entries.append([LaurentPoly._from_terms(d, t) for t in terms])
         return LaurentMatrix(entries)
-
-    def principal_cofactor(self, v: int) -> LaurentPoly:
-        """Determinant of the pencil with row and column v deleted (n >= 2).
-
-        The cofactor's triples come straight from the pencil's: row v
-        and column v are dropped and the later columns shift down by one.
-        """
-        rows = [[(col - (col > v), key, coeff) for col, key, coeff in row if col != v]
-                for r, row in enumerate(self._rows) if r != v]
-        return determinant(pack_rows(self.graph.dimension, rows))
 
     def dispersion(self, method: str = "auto") -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.

@@ -8,10 +8,11 @@ pivoting), so no tolerance and no Fraction ever enters.
 
 The LP is the expensive step, so `extreme_points` runs it on as few
 points as it can.  A support point that is the midpoint of two other
-support points is never a vertex, and integer arithmetic finds all of
-those in one pass.  Each survivor is then tested against the points still
-in the running, a set that shrinks as non-vertices drop out; it always
-holds every vertex, so it decides each point as the full set would.
+support points is never a vertex, and one pass over the points packed
+into single integers finds all of those.  Each survivor is then tested
+against the points still in the running, a set that shrinks as
+non-vertices drop out; it always holds every vertex, so it decides each
+point as the full set would.
 
 The generic support, the support of the dispersion D(z, lam) when every
 potential and weight is its own indeterminate, is computed exactly from
@@ -33,24 +34,36 @@ nonzero polynomial in the labels exactly when some cover reaches
 the pencil's 0/1 pattern, which `flatbands.laurent.support_leibniz`
 expands.
 
-Facial independence witnesses come from principal cofactors: the
-dispersion is affine in each potential p_v with slope the determinant
-of the pencil without row and column v, so one (n-1)-orbit determinant
-per orbit decides whether a face ignores p_v.
+Facial independence witnesses are exact too and need no labels.  Let S
+be the generic support, w = (w', 0) the normal of a vertical face, and
+m the least w.p over S, so the face is F = {p in S : w.p = m}.  The
+potential p_v enters the pencil only at entry (v, v), so the terms of D
+that contain p_v are exactly p_v times the terms of the principal
+cofactor C_v, the determinant without row and column v.  Their label
+monomials contain p_v, so by the argument above they survive for
+generic labels: supp(C_v) lies in S, and every q in it has w.q >= m.
+The facial polynomial therefore depends on p_v exactly when the least
+w.q over supp(C_v) equals m.  That support is the permanent support of
+the pattern without row and column v, so its least w.q is the min-plus
+permanent of the matrix W whose entry (i, j) is the least w.key over
+the pattern keys of pencil entry (i, j), with row and column v deleted:
+min(0, -|w'.a| over the self classes a of orbit i) on the diagonal, where
+the potential and -lam sit at weight 0, and w'.a on (i, j) and -w'.a on
+(j, i) for a class (i, j, a).  The diagonal is never empty, so every
+such permanent is finite.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .floquet import FloquetMatrix, pattern_pencil
 from .graph import Labeling, PeriodicGraph
 from .laurent import LaurentPoly, WeightVector, support_leibniz
-from .sampling import random_labeling
 
 Point = tuple[int, ...]
 
@@ -138,7 +151,10 @@ def _phase1_feasible_int(rows: list[list[int]]) -> bool:
     phase-1 objective (1 on each artificial) and is updated like the
     others, so the entering column is the first one with a negative
     entry, and the ratio test compares b_i / t_ie by cross-multiplication.
-    Every choice matches `_phase1_feasible` on the same integer input.
+    Every choice matches the textbook Fraction simplex (Bland's rule on
+    the reduced costs, ties in the ratio test to the lowest basic
+    column) on the same integer input; tests/test_polytope.py keeps that
+    simplex as the reference.
     """
     m = len(rows)
     n = len(rows[0]) - 1
@@ -188,59 +204,6 @@ def _phase1_feasible_int(rows: list[list[int]]) -> bool:
     return all(table[i][-1] == 0 for i in range(m) if basis[i] >= n)
 
 
-def _phase1_feasible(cols: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]) -> bool:
-    m = len(rhs)
-    n = len(cols)
-    table = [[cols[j][i] for j in range(n)] for i in range(m)]
-    b = list(rhs)
-    for i in range(m):
-        if b[i] < 0:
-            b[i] = -b[i]
-            table[i] = [-a for a in table[i]]
-    for i in range(m):
-        table[i].extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
-    basis = list(range(n, n + m))
-
-    while True:
-        # reduced cost of column j under cost = 1 on artificials, 0 elsewhere
-        entering = -1
-        for j in range(n + m):
-            if j in basis:
-                continue
-            cost = (Fraction(1) if j >= n else Fraction(0))
-            for i in range(m):
-                if basis[i] >= n:
-                    cost -= table[i][j]
-            if cost < 0:
-                entering = j
-                break  # Bland: first improving column
-        if entering < 0:
-            break
-        leaving = -1
-        best = None
-        for i in range(m):
-            if table[i][entering] > 0:
-                ratio = b[i] / table[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            # unbounded phase-1 cannot happen; defensive
-            raise ArithmeticError("phase-1 simplex became unbounded")
-        pivot = table[leaving][entering]
-        table[leaving] = [a / pivot for a in table[leaving]]
-        b[leaving] /= pivot
-        for i in range(m):
-            if i != leaving and table[i][entering]:
-                factor = table[i][entering]
-                table[i] = [a - factor * c for a, c in zip(table[i], table[leaving])]
-                b[i] -= factor * b[leaving]
-        basis[leaving] = entering
-
-    artificial_load = sum(b[i] for i in range(m) if basis[i] >= n)
-    return artificial_load == 0
-
-
 def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
     """Points not expressible as convex combinations of the others.
 
@@ -249,7 +212,14 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
     - Midpoints go first.  If p = (a + b)/2 for support points a != b,
       then p is in conv(S without p) and is not a vertex.  In integers,
       p is such a midpoint exactly when the reflection 2p - a of some
-      other point a is in the support.
+      other point a is in the support.  The pass runs on one int per
+      point: shifted by its per-axis minimum, every coordinate lies in
+      [0, span], and the point packs to sum(x_k * B**k) with
+      B = 3 * span + 1.  The packing is linear, so 2p - a packs to
+      2 key(p) - key(a), and every coordinate of 2p - a lies in
+      [-span, 2 span], a window of B values, on which the packing is
+      injective.  So 2p - a is in S exactly when 2 key(p) - key(a) is
+      one of the keys.
     - Every other point is tested with `in_convex_hull` against the
       current candidates except itself, and dropped when inside.  The
       candidates always contain the vertices V of conv(S): a vertex is
@@ -259,11 +229,17 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
       it.  The answer is therefore the one the full set would give.
     """
     pts = sorted(set(points))
-    present = set(pts)
+    if not pts:
+        return frozenset()
+    lows = [min(axis) for axis in zip(*pts)]
+    span = max(max(axis) - low for axis, low in zip(zip(*pts), lows))
+    powers = [(3 * span + 1) ** k for k in range(len(lows))]
+    keys = [sum([(x - low) * power for x, low, power in zip(p, lows, powers)])
+            for p in pts]
+    present = set(keys)
     candidates = [
-        p for p in pts
-        if not any(a != p and tuple(2 * x - y for x, y in zip(p, a)) in present
-                   for a in pts)
+        p for p, key in zip(pts, keys)
+        if not any(2 * key - other in present for other in keys if other != key)
     ]
     for p in list(candidates):
         others = [q for q in candidates if q != p]
@@ -350,7 +326,7 @@ def face_of(points: Iterable[Point], weights: Sequence[int]) -> FaceDescriptor:
     """The (possibly improper) face of conv(points) minimizing the weight."""
     pts = list(points)
     w = tuple(weights)
-    values = [sum(c * e for c, e in zip(w, p)) for p in pts]
+    values = [sum(map(mul, w, p)) for p in pts]
     m = min(values)
     members = frozenset(p for p, v in zip(pts, values) if v == m)
     return FaceDescriptor(normal=WeightVector(w), min_value=m, members=members)
@@ -424,23 +400,27 @@ def newton_polytope_data(points: Iterable[Point]) -> NewtonPolytopeData:
 
 
 def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence[int],
-                                rng: random.Random,
                                 support_points: Iterable[Point] | None = None
                                 ) -> int | None:
     """Orbit whose potential the facial polynomial provably ignores.
 
-    Potential p_v enters the pencil only at entry (v, v), so expanding
-    along row v gives D = (L_vv - lam) * C_v + (terms free of p_v), where
-    the principal cofactor C_v is the determinant of the pencil with row
-    and column v deleted.  Changing p_v from a to b changes D by
-    (a - b) * C_v, so the facial polynomial ignores p_v exactly when no
-    term of C_v lies on the face.  The other labels are one random draw
-    from `rng`; orbit v is tested with the single (n-1)-orbit determinant
-    C_v.  Returns the first independent orbit index (0-based), or None
-    when every potential showed up in the face coefficients.
+    Potential p_v enters the pencil only at entry (v, v), so the terms of
+    D that contain p_v are p_v times the terms of the principal cofactor
+    C_v, and the facial polynomial ignores p_v exactly when no term of
+    C_v lies on the face.  For generic labels that holds exactly when the
+    min-plus permanent of the face weights W without row and column v
+    exceeds the face minimum m (see the module docstring), so the test
+    draws no labels and takes no determinant.  Returns the first such
+    orbit index (0-based), or None when every potential reaches the face.
 
     `support_points` defaults to the exact `generic_support` of the
-    graph.  `w` must pick out a proper vertical face of it.
+    graph, and `w` must pick out a proper vertical face of it.  With two
+    or more orbits the argument needs that support: the min-plus
+    permanent of the whole of W is the least w.p over the generic
+    support, and a support whose minimum differs raises ValueError.  A
+    one-orbit graph has no vertical face in its generic support; there
+    the cofactor is the empty determinant 1, tested against the given
+    face directly.
     """
     w = tuple(w)
     if len(w) != graph.dimension + 1 or w[-1] != 0:
@@ -454,17 +434,61 @@ def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence
     if not _has_vertical_pair(descriptor.members):
         raise ValueError("face has no vertical pair; not a vertical face")
 
-    base = random_labeling(graph, rng)
     members = descriptor.members
     n = graph.num_orbits
     if n == 1:
         # the cofactor of a 1 x 1 pencil is the empty determinant, 1
         return None if (0,) * len(w) in members else 0
-    matrix = FloquetMatrix(graph, base)
+    rows = _face_weights(graph, w[:-1])
+    full = (1 << n) - 1
+    m = descriptor.min_value
+    if _minplus_permanent(rows, full) != m:
+        raise ValueError("support_points is not the generic support of the graph")
     for orbit in range(n):
-        if members.isdisjoint(matrix.principal_cofactor(orbit).support()):
+        if _minplus_permanent(rows[:orbit] + rows[orbit + 1:], full ^ (1 << orbit)) > m:
             return orbit
     return None
+
+
+def _face_weights(graph: PeriodicGraph, normal: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Rows of W as (column bit, weight) pairs: the least w'.key per pencil entry.
+
+    The potential and -lam put weight 0 on every diagonal entry.  A class
+    (i, j, a) puts w'.a on entry (i, j) and -w'.a on entry (j, i), the
+    orientation of the Floquet matrix; a self class puts both on (i, i).
+    """
+    least = [{v: 0} for v in range(graph.num_orbits)]
+    for i, j, a in graph.edge_classes:
+        value = sum(map(mul, normal, a))
+        for row, col, weight in ((i, j, value), (j, i, -value)):
+            if weight < least[row].get(col, weight + 1):
+                least[row][col] = weight
+    return [[(1 << col, weight) for col, weight in row.items()] for row in least]
+
+
+def _minplus_permanent(rows: list[list[tuple[int, int]]], mask: int) -> int | None:
+    """Least total weight of a matching of `rows` onto the columns in `mask`.
+
+    The row expansion of `flatbands.laurent.det_leibniz`, memoized on
+    column bitmasks, with min and + on ints in place of the sums and
+    products of coefficients.  None marks a minor with no matching.
+    """
+    n = len(rows)
+    memo: dict[int, int | None] = {0: 0}
+
+    def minor(mask: int) -> int | None:
+        if mask in memo:
+            return memo[mask]
+        best = None
+        for bit, weight in rows[n - mask.bit_count()]:
+            if mask & bit:
+                sub = minor(mask ^ bit)
+                if sub is not None and (best is None or weight + sub < best):
+                    best = weight + sub
+        memo[mask] = best
+        return best
+
+    return minor(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,9 @@ def test_criterion_6_facial_independence_witnesses():
         faces = vertical_faces(support)
         if faces:
             eligible += 1
-        for k, face in enumerate(faces):
+        for face in faces:
             witness = facial_independence_witness(
-                graph, face.normal, rng_for("witness", t, k),
-                support_points=support,
+                graph, face.normal, support_points=support,
             )
             faces_checked += 1
             if witness is None:

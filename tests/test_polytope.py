@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatbands import laurent, polytope
+from flatbands import floquet, laurent, polytope, sampling
 from flatbands.floquet import FloquetMatrix, dispersion_polynomial
 from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
+from flatbands.laurent import determinant, pack_rows, support_leibniz
 from flatbands.polytope import (
     _hull_cycle_2d,
-    _phase1_feasible,
     extreme_points,
     face_of,
     facial_independence_witness,
@@ -181,28 +181,33 @@ class TestFacialIndependenceWitness:
             (0, -1, 0): 1,
         }
         for w, expected in cases.items():
-            witness = facial_independence_witness(
-                lieb_graph, w, rng_for("witness", w), support_points=pts
-            )
+            witness = facial_independence_witness(lieb_graph, w, support_points=pts)
             assert witness == expected
 
     def test_rejects_nonzero_lam_weight(self, lieb_graph):
         with pytest.raises(ValueError):
-            facial_independence_witness(lieb_graph, (1, 0, 1), random.Random(0))
+            facial_independence_witness(lieb_graph, (1, 0, 1))
 
     def test_rejects_whole_polytope(self, lieb_graph):
         pts = generic_support(lieb_graph)
         with pytest.raises(ValueError):
-            facial_independence_witness(
-                lieb_graph, (0, 0, 0), random.Random(0), support_points=pts
-            )
+            facial_independence_witness(lieb_graph, (0, 0, 0), support_points=pts)
+
+    def test_rejects_a_support_that_is_not_generic(self, lieb_graph):
+        pts = generic_support(lieb_graph)
+        # one vertical pair past the z1^-1 column, and that column removed
+        wider = pts | {(-2, 0, 0), (-2, 0, 1)}
+        narrower = pts - {(-1, 0, 0), (-1, 0, 1)}
+        for support in (wider, narrower):
+            with pytest.raises(ValueError, match="not the generic support"):
+                facial_independence_witness(lieb_graph, (1, 0, 0), support_points=support)
 
     def test_rejects_non_vertical_face(self):
         g = PeriodicGraph(1, 1, [(0, 0, (1,))])
         pts = generic_support(g)
         # w = (1, 0) picks the lone z^-1 corner, which has no vertical pair
         with pytest.raises(ValueError):
-            facial_independence_witness(g, (1, 0), random.Random(0), support_points=pts)
+            facial_independence_witness(g, (1, 0), support_points=pts)
 
 
 def _two_sample_witness(graph, w, rng, support_points):
@@ -276,8 +281,7 @@ def test_cofactor_witness_matches_two_sample_oracle(graph):
         return
     for k, face in enumerate(vertical_faces(pts)):
         w = face.normal.components
-        got = facial_independence_witness(
-            graph, w, rng_for("witness", k), support_points=pts)
+        got = facial_independence_witness(graph, w, support_points=pts)
         assert got == _two_sample_witness(graph, w, rng_for("witness", k), pts)
 
 
@@ -311,42 +315,83 @@ def test_cofactor_witness_on_one_orbit():
         ({(0, 1), (0, 2), (1, 0)}, (1, 0), 0),
         ({(0, 0), (0, 1), (1, 0)}, (1, 0), None),
     ):
-        got = facial_independence_witness(g, w, random.Random(0), support_points=support)
+        got = facial_independence_witness(g, w, support_points=support)
         assert got == expected
         assert _two_sample_witness(g, w, random.Random(0), support) == expected
 
 
-def test_witness_builds_one_matrix_and_takes_n_minus_1_cofactors(monkeypatch, lieb_graph):
+def test_witness_draws_no_labels_and_takes_no_determinant(monkeypatch, lieb_graph):
     pts = generic_support(lieb_graph)
-    faces = vertical_faces(pts)
-    builds = []
-    sizes = []
-    init = FloquetMatrix.__init__
-    kernel = laurent.det_leibniz
 
-    def counted_init(self, graph, labeling):
-        builds.append(graph.num_orbits)
-        init(self, graph, labeling)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the witness needs no labels, matrix or determinant")
 
-    def counted_kernel(matrix):
-        sizes.append(matrix.size)
-        return kernel(matrix)
+    monkeypatch.setattr(FloquetMatrix, "__init__", forbidden)
+    monkeypatch.setattr(laurent, "det_leibniz", forbidden)
+    monkeypatch.setattr(laurent, "det_bareiss", forbidden)
+    monkeypatch.setattr(sampling, "random_labeling", forbidden)
+    witnesses = [facial_independence_witness(lieb_graph, w, support_points=pts)
+                 for w in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
+    assert witnesses == [0, 0, 1, 1]
 
-    def no_laurent_matrix(self, rows):
-        raise AssertionError("a witness packs its cofactors from the pencil triples")
 
-    monkeypatch.setattr(FloquetMatrix, "__init__", counted_init)
-    monkeypatch.setattr(laurent, "det_leibniz", counted_kernel)
-    monkeypatch.setattr(laurent.LaurentMatrix, "__init__", no_laurent_matrix)
-    for k, face in enumerate(faces):
-        builds.clear()
-        sizes.clear()
-        witness = facial_independence_witness(
-            lieb_graph, face.normal, rng_for("witness", k), support_points=pts)
-        assert witness is not None
-        assert builds == [3]
-        assert sizes and set(sizes) == {2}
-        assert len(sizes) == witness + 1
+def _cofactor_rows(rows, v):
+    """Pencil triples with row and column v deleted; later columns shift down."""
+    return [[(col - (col > v), key, coeff) for col, key, coeff in row if col != v]
+            for r, row in enumerate(rows) if r != v]
+
+
+def _cofactor_witness(graph, w, support_points):
+    """Oracle: the labeled principal-cofactor witness, one draw from a fixed rng.
+
+    Orbit v is independent when no term of the determinant of the pencil
+    without row and column v lies on the face; a draw can only cancel a
+    cofactor term, never add one.
+    """
+    members = face_of(set(support_points), w).members
+    base = random_labeling(graph, random.Random(0))
+    n = graph.num_orbits
+    if n == 1:
+        return None if (0,) * len(w) in members else 0
+    rows = floquet._pencil_rows(graph, base)
+    for orbit in range(n):
+        cofactor = determinant(pack_rows(graph.dimension, _cofactor_rows(rows, orbit)))
+        if members.isdisjoint(cofactor.support()):
+            return orbit
+    return None
+
+
+def _set_witness(graph, members):
+    """Oracle: the first orbit whose cofactor pattern support misses the face."""
+    rows = floquet._pencil_rows(graph)
+    for orbit in range(graph.num_orbits):
+        support = support_leibniz(pack_rows(graph.dimension, _cofactor_rows(rows, orbit)))
+        if members.isdisjoint(support):
+            return orbit
+    return None
+
+
+@given(graph=_planted_graphs(max_orbits=6, max_dimension=2))
+# two classes between one pair of orbits, beside an isolated orbit
+@example(graph=PeriodicGraph(1, 3, [(0, 1, (0,)), (0, 1, (1,))]))
+@example(graph=PeriodicGraph(2, 4, [(0, 1, (0, 0)), (0, 1, (1, 1)), (1, 2, (1, 0)),
+                                    (2, 2, (0, 1))]))
+# self classes whose w'.a have opposite signs on the diagonal faces
+@example(graph=PeriodicGraph(2, 3, [(0, 0, (1, 0)), (1, 1, (0, 1)), (0, 1, (0, 0)),
+                                    (1, 2, (0, 0))]))
+# an off-diagonal entry negative in both orientations
+@example(graph=PeriodicGraph(1, 3, [(0, 1, (1,)), (0, 1, (-1,)), (1, 2, (0,))]))
+@example(graph=PeriodicGraph(2, 3, LIEB_EDGES))
+@settings(max_examples=200, deadline=None)
+def test_minplus_witness_matches_the_cofactor_oracles(graph):
+    pts = generic_support(graph)
+    if is_vertical_segment(pts):
+        return
+    for face in vertical_faces(pts):
+        w = face.normal.components
+        got = facial_independence_witness(graph, w, support_points=pts)
+        assert got == _set_witness(graph, face.members)
+        assert got == _cofactor_witness(graph, w, pts)
 
 
 def test_permutation_product(lieb_graph, lieb_labeling):
@@ -386,6 +431,64 @@ def test_averages_stay_inside(pts):
 @settings(max_examples=50, deadline=None)
 def test_minkowski_sum_commutes(a, b):
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
+
+
+def _phase1_feasible(cols: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]) -> bool:
+    """Reference phase-1 simplex in Fractions, Bland's rule throughout.
+
+    `polytope._phase1_feasible_int` makes the same choices on an integer
+    tableau; the hull tests compare the two.
+    """
+    m = len(rhs)
+    n = len(cols)
+    table = [[cols[j][i] for j in range(n)] for i in range(m)]
+    b = list(rhs)
+    for i in range(m):
+        if b[i] < 0:
+            b[i] = -b[i]
+            table[i] = [-a for a in table[i]]
+    for i in range(m):
+        table[i].extend(Fraction(1) if k == i else Fraction(0) for k in range(m))
+    basis = list(range(n, n + m))
+
+    while True:
+        # reduced cost of column j under cost = 1 on artificials, 0 elsewhere
+        entering = -1
+        for j in range(n + m):
+            if j in basis:
+                continue
+            cost = (Fraction(1) if j >= n else Fraction(0))
+            for i in range(m):
+                if basis[i] >= n:
+                    cost -= table[i][j]
+            if cost < 0:
+                entering = j
+                break  # Bland: first improving column
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(m):
+            if table[i][entering] > 0:
+                ratio = b[i] / table[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            # unbounded phase-1 cannot happen; defensive
+            raise ArithmeticError("phase-1 simplex became unbounded")
+        pivot = table[leaving][entering]
+        table[leaving] = [a / pivot for a in table[leaving]]
+        b[leaving] /= pivot
+        for i in range(m):
+            if i != leaving and table[i][entering]:
+                factor = table[i][entering]
+                table[i] = [a - factor * c for a, c in zip(table[i], table[leaving])]
+                b[i] -= factor * b[leaving]
+        basis[leaving] = entering
+
+    artificial_load = sum(b[i] for i in range(m) if basis[i] >= n)
+    return artificial_load == 0
 
 
 def _fraction_in_hull(point, points):
@@ -437,6 +540,14 @@ def _point_sets(dim):
 @example(pts=[(0, 0), (1, 1), (2, 2), (3, 3)])
 @example(pts=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
 @example(pts=sorted(LIEB_SUPPORT))
+# reflections 2p - a that leave the bounding box on every axis: packed in
+# base span + 1, (-7, 4) would read as the point (0, 3) of the first set;
+# in base 2 * span, (-7, 1) would read as the point (1, 0) of the second
+@example(pts=[(0, 3), (1, 0), (1, 3), (-3, 0), (-2, 2), (3, 0)])
+@example(pts=[(-3, -1), (1, -3), (1, 0)])
+@example(pts=[(40, -40, 0, 7), (-40, 40, 2, -5), (0, 0, 1, 1), (40, 40, 40, 40),
+              (-40, -40, -40, -40), (0, 0, 0, 0), (-13, 27, -40, 40), (5, -3, 39, -38)])
+@example(pts=[(7, -3, 2)])
 @settings(max_examples=200, deadline=None)
 def test_extreme_points_matches_oracle(pts):
     assert extreme_points(pts) == _extreme_points_oracle(pts)

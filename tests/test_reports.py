@@ -14,7 +14,10 @@ import pytest
 
 from flatbands.cli import main
 
-LIEB = str(Path(__file__).resolve().parent.parent / "sample_graphs" / "lieb.json")
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
+LIEB = str(SAMPLES / "lieb.json")
+# eight vertical faces whose witnesses are three different orbits
+FIVE_ORBITS = str(SAMPLES / "five_orbits.json")
 
 PINNED = [
     (("--json", "verify-theorem", "--count", "200", "--seed", "42"), 0,
@@ -27,12 +30,14 @@ PINNED = [
      "d0597d53d59fabd00d47689eadb6407ce68678cfe4cef7a3b939170e869932fd"),
     (("--json", "polytope", LIEB), 0,
      "c4fc56232d8d6f45cdfa3e8f73abf515862d2c29592b0c61ee7e32f6e2eb1934"),
+    (("--json", "polytope", FIVE_ORBITS), 0,
+     "4dbb7ca232b239f197c25f5ce58e61cbf84fe2531664d672243df85dce7c78c8"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", PINNED, ids=[
     "verify-theorem-json", "analyze-lieb-text", "analyze-lieb-json",
-    "generic-lieb-100", "polytope-lieb-json"])
+    "generic-lieb-100", "polytope-lieb-json", "polytope-five-orbits-json"])
 def test_report_digest(argv, code, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
