@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
@@ -30,12 +29,11 @@ from .floquet import FloquetMatrix, dispersion_polynomial
 from .graph import (Labeling, find_support_zero_component, has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, _rational_out)
-from .laurent import LaurentPoly, decimal_text, format_poly
+from .laurent import LaurentPoly, format_poly, format_unipoly
 from .polytope import (facial_independence_witness, generic_support,
                        is_vertical_segment, vertical_faces)
 from .sampling import (random_labeling, random_periodic_graph, rng_for,
                        tame_real_labeling)
-from .unipoly import Coeffs
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -46,27 +44,6 @@ EXIT_INCONSISTENT = 11
 
 # ---------------------------------------------------------------------------
 # report plumbing
-
-
-def format_unipoly(coeffs: Coeffs, var: str = "lam") -> str:
-    if not coeffs:
-        return "0"
-    pieces = []
-    for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if not c:
-            continue
-        if power == 0:
-            body = decimal_text(abs(c))
-        elif abs(c) == 1:
-            body = var if power == 1 else f"{var}^{power}"
-        else:
-            digits = decimal_text(abs(c))
-            body = f"{digits}*{var}" if power == 1 else f"{digits}*{var}^{power}"
-        pieces.append(("- " if c < 0 else "+ ") + body)
-    head = pieces[0]
-    head = "-" + head[2:] if head.startswith("- ") else head[2:]
-    return " ".join([head] + pieces[1:])
 
 
 def _render(value, indent: int = 0) -> list[str]:
@@ -283,6 +260,8 @@ def cmd_verify_theorem(args) -> int:
         raise GraphFormatError("--max-orbits must be within 1..4")
     if not 0 <= args.max_edges <= 6:
         raise GraphFormatError("--max-edges must be within 0..6")
+    if args.count < 0:
+        raise GraphFormatError("--count must be nonnegative")
 
     both_flat = both_none = segment_agree = 0
     disagreements = []

@@ -7,7 +7,8 @@ band exactly when every one of those lam-polynomials vanishes at lam0,
 so the flat-band set is the root set of their gcd.  Working with the gcd
 keeps irrational and complex flat bands visible (as irreducible factors)
 without ever leaving rational arithmetic.  The gcd itself runs on
-primitive integer polynomials (`unipoly.gcd`).
+primitive integer polynomials (`unipoly.gcd`); each rational root is
+checked again by exact division of those integer polynomials.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ class FlatBandReport:
     """Flat-band polynomial g with its factorization over Q.
 
     ``rational_roots`` lists (energy, multiplicity) pairs sorted by
-    energy; ``verified`` records, per root, that dividing the dispersion
-    by (lam - energy) left no remainder.  Irrational and complex flat
-    bands show up in ``irreducible_factors``.  These three are computed
-    together on first access and cached, so a caller that only counts
-    flat bands never factors g.
+    energy; ``verified`` records, per root u/v of multiplicity m, that
+    (v * lam - u)^m divides in Z[lam] every primitive integer slice p_a of
+    the dispersion D = sum z^a p_a(lam), which holds exactly when it
+    divides D (Gauss's lemma for the step from Q to Z).
+    Irrational and complex flat bands show up in ``irreducible_factors``.
+    These three are computed together on first access and cached, so a
+    caller that only counts flat bands never factors g.
     """
 
     flatband_poly: tuple[Fraction, ...]
@@ -63,17 +66,17 @@ class FlatBandReport:
     @cached_property
     def _factored(self):
         roots, others = unipoly.factor_rational(self.flatband_poly)
+        groups = _lam_groups(self.dispersion).values() if roots else ()
+        slices = [_lam_polynomial_int(group) for group in groups]
         verified = []
         for root, multiplicity in roots:
-            quotient = self.dispersion
-            ok = True
+            divisor = (-root.numerator, root.denominator)  # v * lam - u
+            remaining = slices
             for _ in range(multiplicity):
-                try:
-                    quotient = quotient.divide_by_linear(root)
-                except ValueError:
-                    ok = False
+                remaining = [unipoly._int_quotient(p, divisor) for p in remaining]
+                if None in remaining:
                     break
-            verified.append(ok)
+            verified.append(None not in remaining)
         factors = tuple(
             IrreducibleFactor(coefficients=c, multiplicity=m) for c, m in others
         )
@@ -90,15 +93,6 @@ class FlatBandReport:
     @property
     def verified(self) -> tuple[bool, ...]:
         return self._factored[2]
-
-
-def lam_polynomial_at(poly: LaurentPoly, z_part: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Ascending lam-coefficients multiplying one z-monomial."""
-    out = [Fraction(0)] * (poly.lam_degree + 1)
-    for key, coeff in poly.items():
-        if key[:-1] == z_part:
-            out[key[-1]] = coeff
-    return unipoly.normalize(out)
 
 
 class InvariantError(ValueError):
@@ -129,6 +123,19 @@ def _lam_polynomial_int(coefficients: dict[int, Fraction]) -> tuple[int, ...]:
     return unipoly.primitive_part(dense)
 
 
+def _lam_groups(dispersion: LaurentPoly) -> dict[tuple[int, ...], dict[int, Fraction]]:
+    """The terms grouped by z-part: {z-part: {lam exponent: coefficient}}."""
+    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for key, coeff in dispersion.items():
+        z_part = key[:-1]
+        group = groups.get(z_part)
+        if group is None:
+            groups[z_part] = {key[-1]: coeff}
+        else:
+            group[key[-1]] = coeff
+    return groups
+
+
 def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
     """All energies whose linear factor divides the dispersion.
 
@@ -138,18 +145,11 @@ def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
     early once the gcd collapses to 1.  The smallest z-part is a vertex of
     the support's z-projection; on random dispersions this order reached
     1 in fewer steps than lowest lam-degree first.  Factoring g, and the
-    re-verification of every rational root by synthetic division of the
-    full dispersion, wait until the report's roots or factors are read.
+    re-verification of every rational root on the integer slices, wait
+    until the report's roots or factors are read.
     """
     degree = _check_monic_in_lam(dispersion)
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for key, coeff in dispersion.items():
-        z_part = key[:-1]
-        group = groups.get(z_part)
-        if group is None:
-            groups[z_part] = {key[-1]: coeff}
-        else:
-            group[key[-1]] = coeff
+    groups = _lam_groups(dispersion)
     g: tuple[Fraction, ...] = ()
     for z_part in sorted(groups):
         g = unipoly.gcd(g, _lam_polynomial_int(groups[z_part]))
@@ -244,8 +244,9 @@ def vertical_segment_face_witness(graph: PeriodicGraph, labeling: Labeling
     support-zero fundamental domain (otherwise the question is empty or
     trivial).  Scans proper faces of the support through the z-projection
     and returns the first whose members all share one nonzero z-part; on
-    such a face the facial polynomial reads z^a * p(lam), and every
-    rational flat-band energy is checked to be a root of p.
+    such a face the facial polynomial reads z^a * p(lam).  p is one
+    lam-slice of the dispersion, so the report's root check, which
+    covers every slice, covers p too; a failed check raises.
     """
     from .graph import has_support_zero_domain
 
@@ -266,15 +267,8 @@ def vertical_segment_face_witness(graph: PeriodicGraph, labeling: Labeling
         member_z = {p[:-1] for p in descriptor.members}
         if len(member_z) != 1 or zero in member_z:
             continue
-        for root, multiplicity in report.rational_roots:
-            p = lam_polynomial_at(dispersion, next(iter(member_z)))
-            for _ in range(multiplicity):
-                quotient, remainder = unipoly.synthetic_divide(p, root)
-                if remainder != 0:
-                    raise ArithmeticError(
-                        f"facial polynomial not divisible by flat band {root}"
-                    )
-                p = quotient
+        if not all(report.verified):
+            raise ArithmeticError("facial polynomial not divisible by every flat band")
         facial = LaurentPoly(
             dispersion.dimension,
             {key: dispersion.coefficient(key) for key in descriptor.members},

@@ -72,30 +72,24 @@ class FloquetMatrix:
             entries.append([LaurentPoly._from_terms(d, t) for t in terms])
         return LaurentMatrix(entries)
 
-    def dispersion(self, method: str = "auto") -> LaurentPoly:
+    def dispersion(self) -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.
 
-        The integer kernels take the pencil packed from the triples here;
-        ``bareiss`` takes the Laurent pencil.  The lam-leading coefficient
-        is (-1)^n by construction, which is asserted here as a cheap
-        sanity check on the determinant code.
+        The first call packs the triples and hands the packed pencil to
+        `determinant`.  The lam-leading coefficient is (-1)^n by
+        construction, which is asserted here as a cheap sanity check on
+        the determinant code.
         """
-        cached = self._dispersion
-        if cached is not None and method == "auto":
-            return cached
-        if method in ("auto", "leibniz"):
-            pencil = pack_rows(self.graph.dimension, self._rows)
-        else:
-            pencil = self.char_matrix()
-        poly = determinant(pencil, method=method)
+        if self._dispersion is not None:
+            return self._dispersion
+        poly = determinant(pack_rows(self.graph.dimension, self._rows))
         n = self.size
         lead = (0,) * self.graph.dimension + (n,)
         terms = poly._terms
         if terms.get(lead) != (-1) ** n or any(
                 key[-1] >= n for key in terms if key != lead):
             raise ArithmeticError("dispersion lost its leading lam term")
-        if method == "auto":
-            object.__setattr__(self, "_dispersion", poly)
+        object.__setattr__(self, "_dispersion", poly)
         return poly
 
 
@@ -141,9 +135,8 @@ def build_floquet(graph: PeriodicGraph, labeling: Labeling) -> FloquetMatrix:
     return FloquetMatrix(graph, labeling)
 
 
-def dispersion_polynomial(graph: PeriodicGraph, labeling: Labeling,
-                          method: str = "auto") -> LaurentPoly:
-    return FloquetMatrix(graph, labeling).dispersion(method=method)
+def dispersion_polynomial(graph: PeriodicGraph, labeling: Labeling) -> LaurentPoly:
+    return FloquetMatrix(graph, labeling).dispersion()
 
 
 def induced_operator(graph: PeriodicGraph, labeling: Labeling,

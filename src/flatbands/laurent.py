@@ -13,10 +13,12 @@ tuple packed into one int by Kronecker substitution, and the product of
 the row denominators.  One expander, `det_leibniz`, takes such a pencil
 (or a `LaurentMatrix`, which it packs first), expands minors memoized on
 column bitmasks, and divides the denominators back out once per output
-term.  `det_bareiss` (fraction-free elimination over the Laurent ring)
-is the independent oracle it is tested against.  `support_leibniz` runs
-the same expansion on exponent sets alone: the support of the permanent
-of the pencil's pattern.  Both decode packed keys through `_unpack`.
+term; `determinant` always runs it.  `det_bareiss` (fraction-free
+elimination over the Laurent ring) is the independent test oracle.
+`support_leibniz` runs the same expansion on exponent sets alone: the
+support of the permanent of the pencil's pattern.  Both decode packed
+keys through `_unpack`.  `format_poly` and `format_unipoly` share one
+term joiner.
 """
 
 from __future__ import annotations
@@ -199,51 +201,6 @@ class LaurentPoly:
             self.dimension,
             {tuple(a + b for a, b in zip(k, off)): v for k, v in self._terms.items()},
         )
-
-    # -- lam-directed operations ----------------------------------------
-    def lam_coefficient(self, power: int) -> "LaurentPoly":
-        """Coefficient of lam^power, as a polynomial in z only."""
-        terms = {
-            key[:-1] + (0,): value
-            for key, value in self._terms.items()
-            if key[-1] == power
-        }
-        return LaurentPoly(self.dimension, terms)
-
-    def substitute_lam(self, value) -> "LaurentPoly":
-        """Exact substitution lam := value (a rational)."""
-        value = _coerce(value)
-        terms: dict[Exponent, Fraction] = {}
-        for key, coeff in self._terms.items():
-            new = key[:-1] + (0,)
-            acc = terms.get(new, Fraction(0)) + coeff * value ** key[-1]
-            if acc:
-                terms[new] = acc
-            else:
-                terms.pop(new, None)
-        return LaurentPoly(self.dimension, terms)
-
-    def divide_by_linear(self, root) -> "LaurentPoly":
-        """Exact quotient by (lam - root); requires root to be a lam-root.
-
-        Synthetic division over the z-Laurent coefficient ring, highest lam
-        power first.  Raises ValueError when the remainder is nonzero.
-        """
-        root = _coerce(root)
-        if self.is_zero:
-            return self
-        degree = self.lam_degree
-        coeffs = [self.lam_coefficient(b) for b in range(degree + 1)]
-        quotient: dict[Exponent, Fraction] = {}
-        carry = LaurentPoly.zero(self.dimension)
-        for b in range(degree, 0, -1):
-            carry = coeffs[b] + carry.scale(root) if b < degree else coeffs[b]
-            for key, value in carry._terms.items():
-                quotient[key[:-1] + (b - 1,)] = value
-        remainder = coeffs[0] + carry.scale(root)
-        if not remainder.is_zero:
-            raise ValueError(f"{root} is not a root: nonzero remainder {remainder}")
-        return LaurentPoly(self.dimension, quotient)
 
     def negate_z(self) -> "LaurentPoly":
         """Replace every z-exponent vector a by -a (lam untouched)."""
@@ -614,21 +571,14 @@ def det_bareiss(matrix: LaurentMatrix) -> LaurentPoly:
     return det.shift([-s for s in total_shift])
 
 
-def determinant(matrix: LaurentMatrix | PackedPencil, method: str = "auto") -> LaurentPoly:
-    """Exact determinant.
+def determinant(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
+    """Exact determinant by `det_leibniz`; the one place that picks a kernel.
 
-    ``auto`` and ``leibniz`` run the integer minor expansion `det_leibniz`
-    at every size: on the sparse Floquet pencils of the benchmark corpus
-    (n = 4..8) it is 10-100x faster than Bareiss elimination, whose
-    intermediate entries grow dense.  ``bareiss`` runs `det_bareiss`,
-    kept as an independent oracle for the tests; it needs a
-    `LaurentMatrix`.
+    On the sparse Floquet pencils of the benchmark corpus (n = 4..8) the
+    integer expansion is 10-100x faster than Bareiss elimination, whose
+    intermediate entries grow dense.
     """
-    if method in ("auto", "leibniz"):
-        return det_leibniz(matrix)
-    if method == "bareiss":
-        return det_bareiss(matrix)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return det_leibniz(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +602,29 @@ def decimal_text(value: int | Fraction) -> str:
     return str(decimal.Decimal(int(value)))
 
 
+def _join_terms(terms: Iterable[tuple[int | Fraction, list[str]]]) -> str:
+    """Signed sum of (coefficient, factors) pairs; a unit coefficient is elided."""
+    pieces = []
+    for coeff, factors in terms:
+        if not factors:
+            body = decimal_text(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([decimal_text(abs(coeff))] + factors)
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    if not pieces:
+        return "0"
+    head = pieces[0]
+    head = "-" + head[2:] if head.startswith("- ") else head[2:]
+    return " ".join([head] + pieces[1:])
+
+
 def format_poly(poly: LaurentPoly, lam_name: str = "lam") -> str:
     """Render with terms sorted by (lam exponent, z exponents)."""
-    if poly.is_zero:
-        return "0"
     d = poly.dimension
-    pieces = []
+    terms = []
     for key in sorted(poly._terms, key=lambda k: (k[-1], k[:-1])):
-        coeff = poly._terms[key]
         factors = []
         for axis in range(d):
             e = key[axis]
@@ -672,13 +637,12 @@ def format_poly(poly: LaurentPoly, lam_name: str = "lam") -> str:
             factors.append(lam_name)
         elif b != 0:
             factors.append(f"{lam_name}^{b}")
-        if not factors:
-            body = decimal_text(abs(coeff))
-        elif abs(coeff) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([decimal_text(abs(coeff))] + factors)
-        pieces.append(("- " if coeff < 0 else "+ ") + body)
-    head = pieces[0]
-    head = "-" + head[2:] if head.startswith("- ") else head[2:]
-    return " ".join([head] + pieces[1:])
+        terms.append((poly._terms[key], factors))
+    return _join_terms(terms)
+
+
+def format_unipoly(coeffs: Sequence[int | Fraction], var: str = "lam") -> str:
+    """Render ascending coefficients with the highest power first."""
+    return _join_terms(
+        (coeffs[p], [] if p == 0 else [var] if p == 1 else [f"{var}^{p}"])
+        for p in range(len(coeffs) - 1, -1, -1) if coeffs[p])

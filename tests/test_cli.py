@@ -2,22 +2,24 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from flatbands import cli, laurent, unipoly
 from flatbands.bands import MAX_GRID_POINTS
 from flatbands.floquet import FloquetMatrix
-from flatbands.laurent import LaurentMatrix, LaurentPoly
+from flatbands.laurent import LaurentMatrix, LaurentPoly, format_unipoly
 from flatbands.cli import (
     EXIT_FLAT_BAND,
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
-    format_unipoly,
     main,
 )
 
@@ -42,6 +44,30 @@ def edgeless_path(tmp_path):
         "dimension": 1,
         "orbits": [{"id": "a"}, {"id": "b"}],
     })
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples() -> list[str]:
+    """The `flatbands ...` lines of the README's "Examples:" block."""
+    block = README.read_text().split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("flatbands ")]
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_example_runs(capsys, monkeypatch, tmp_path, line):
+    # the exit code is the one the line's comment names, else 0
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    stated = re.search(r"exit (\d+)", comment)
+    monkeypatch.chdir(README.parent)
+    code = main(argv)
+    capsys.readouterr()
+    assert code == (int(stated.group(1)) if stated else EXIT_OK)
 
 
 class TestFormatUnipoly:
@@ -187,6 +213,14 @@ class TestVerifyTheorem:
         code, _, err = run_cli(capsys, "verify-theorem", "--dims", "3")
         assert code == EXIT_INPUT_ERROR
         assert "dims" in err
+
+    def test_rejects_negative_count(self, capsys):
+        code, out, err = run_cli(capsys, "--json", "verify-theorem", "--count", "-3")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert "--count" in err
+        code, out, _ = run_cli(capsys, "--json", "verify-theorem", "--count", "0")
+        assert code == EXIT_OK
+        assert json.loads(out)["count"] == 0
 
 
 class TestBands:
@@ -353,7 +387,7 @@ class TestErrorPaths:
         else:
             original = FloquetMatrix.dispersion
             monkeypatch.setattr(FloquetMatrix, "dispersion",
-                                lambda self, method="auto": original(self, method) * 2)
+                                lambda self: original(self) * 2)
         code, out, err = run_cli(capsys, "analyze", lieb_json_path)
         assert code == EXIT_INTERNAL_ERROR == 3
         assert out == ""
@@ -382,10 +416,10 @@ class TestErrorPaths:
 
     def test_integers_past_the_str_limit_print_as_text(self):
         big = 10 ** 5000
-        assert cli.decimal_text(big) == "1" + "0" * 5000
-        assert cli.decimal_text(-big) == "-1" + "0" * 5000
-        assert cli.decimal_text(Fraction(-big, 3)) == "-1" + "0" * 5000 + "/3"
-        assert cli.decimal_text(Fraction(7, 2)) == "7/2"
+        assert laurent.decimal_text(big) == "1" + "0" * 5000
+        assert laurent.decimal_text(-big) == "-1" + "0" * 5000
+        assert laurent.decimal_text(Fraction(-big, 3)) == "-1" + "0" * 5000 + "/3"
+        assert laurent.decimal_text(Fraction(7, 2)) == "7/2"
         assert cli._rational_out(Fraction(big)) == "1" + "0" * 5000
         assert cli._rational_out(Fraction(12)) == 12
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -3,14 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatbands import unipoly
 from flatbands.flatband import (
+    FlatBandReport,
     flat_bands,
     flat_bands_of,
     generic_flat_band_decision,
     inheritance_check,
-    lam_polynomial_at,
     vertical_segment_face_witness,
 )
 from flatbands.floquet import dispersion_polynomial
@@ -19,6 +20,15 @@ from flatbands.laurent import LaurentPoly, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
 F = Fraction
+
+
+def lam_polynomial_at(poly: LaurentPoly, z_part: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Ascending lam-coefficients multiplying one z-monomial (test oracle)."""
+    out = [Fraction(0)] * (poly.lam_degree + 1)
+    for key, coeff in poly.items():
+        if key[:-1] == z_part:
+            out[key[-1]] = coeff
+    return unipoly.normalize(out)
 
 
 def test_lam_polynomial_at(lieb_graph, lieb_labeling):
@@ -98,6 +108,57 @@ def test_divisibility_check_runs_when_roots_are_read(lieb_graph, lieb_labeling):
     forged = type(report)(report.flatband_poly, dispersion=lam - 1)
     assert forged == report
     assert forged.rational_roots == ((F(0), 1),)
+    assert forged.verified == (False,)
+
+
+@st.composite
+def planted_root_dispersions(draw):
+    """D = (lam - r)^k * q with q monic in lam up to sign, random z-terms."""
+    d = draw(st.integers(1, 2))
+    r = F(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    lead = (0,) * d + (m,)
+    terms = {lead: draw(st.sampled_from([-1, 1]))}
+    if m:
+        keys = st.tuples(*[st.integers(-2, 2)] * d, st.integers(0, m - 1))
+        coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+        terms.update(draw(st.dictionaries(keys, coeffs, max_size=6)))
+    lam = LaurentPoly.lam(d)
+    poly = LaurentPoly(d, terms)
+    for _ in range(k):
+        poly = poly * (lam - r)
+    return poly, r, k
+
+
+@given(planted_root_dispersions())
+@settings(max_examples=150, deadline=None)
+def test_planted_root_is_verified(case):
+    poly, r, k = case
+    report = flat_bands(poly)
+    assert report.verified and all(report.verified)
+    assert dict(report.rational_roots)[r] >= k
+
+
+def test_verification_divides_each_slice_by_the_full_multiplicity():
+    # g claims (lam - 3)^2, but the z-slice carries (lam - 3) only once
+    lam = LaurentPoly.lam(1)
+    z = LaurentPoly.z_var(1, 0)
+    dispersion = (lam - 3) * (lam - 3) + z * (lam - 3)
+    forged = FlatBandReport((F(9), F(-6), F(1)), dispersion=dispersion)
+    assert forged.rational_roots == ((F(3), 2),)
+    assert forged.verified == (False,)
+
+
+def test_verification_reads_every_slice():
+    # the middle z-part, in term order and in sorted order, lacks (lam - 3)
+    dispersion = LaurentPoly(1, {
+        (-1, 1): 1, (-1, 0): -3,
+        (0, 2): 1, (0, 1): -2,
+        (1, 1): 2, (1, 0): -6,
+    })
+    forged = FlatBandReport((F(-3), F(1)), dispersion=dispersion)
+    assert forged.rational_roots == ((F(3), 1),)
     assert forged.verified == (False,)
 
 

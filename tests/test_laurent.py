@@ -79,31 +79,7 @@ def test_lam_coefficient_and_degree():
     lam = LaurentPoly.lam(1)
     p = (z + 1).scale(3) * lam * lam + z
     assert p.lam_degree == 2
-    assert p.lam_coefficient(2) == (z + 1).scale(3)
-    assert p.lam_coefficient(1).is_zero
-    assert p.lam_coefficient(0) == z
     assert LaurentPoly.zero(1).lam_degree == -1
-
-
-def test_substitute_lam():
-    lam = LaurentPoly.lam(1)
-    z = LaurentPoly.z_var(1, 0)
-    p = lam * lam - z * lam + 1
-    value = p.substitute_lam(Fraction(1, 2))
-    assert value == LaurentPoly.constant(1, Fraction(5, 4)) - z.scale(Fraction(1, 2))
-
-
-def test_divide_by_linear_exact():
-    lam = LaurentPoly.lam(1)
-    z = LaurentPoly.z_var(1, 0)
-    product = (lam - 2) * (z * lam + 1)
-    assert product.divide_by_linear(2) == z * lam + 1
-
-
-def test_divide_by_linear_remainder_raises():
-    lam = LaurentPoly.lam(1)
-    with pytest.raises(ValueError):
-        (lam - 2).divide_by_linear(3)
 
 
 def test_facial_polynomial_selects_minimizers():
