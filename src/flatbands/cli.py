@@ -182,6 +182,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generic(args) -> int:
+    if args.trials < 1:
+        raise GraphFormatError("--trials must be at least 1")
     spec = load_graph_file(args.file)
     decision = generic_flat_band_decision(spec.graph, trials=args.trials, seed=args.seed)
     if not decision.consistent:
@@ -229,9 +231,7 @@ def cmd_polytope(args) -> int:
         rep_dispersion = dispersion_polynomial(graph, representative)
         faces = []
         for face in vertical_faces(support):
-            witness = facial_independence_witness(
-                graph, face.normal, support_points=support,
-            )
+            witness = facial_independence_witness(graph, face, support_points=support)
             facial = LaurentPoly(
                 graph.dimension,
                 {key: rep_dispersion.coefficient(key) for key in face.members},
@@ -262,6 +262,8 @@ def cmd_verify_theorem(args) -> int:
         raise GraphFormatError("--max-edges must be within 0..6")
     if args.count < 0:
         raise GraphFormatError("--count must be nonnegative")
+    if args.trials < 1:
+        raise GraphFormatError("--trials must be at least 1")
 
     both_flat = both_none = segment_agree = 0
     disagreements = []

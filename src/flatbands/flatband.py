@@ -2,13 +2,21 @@
 
 A flat band of a labeled periodic graph is an energy lam0 with
 (lam - lam0) dividing the dispersion polynomial.  Writing the dispersion
-as a sum of z-monomials times univariate lam-polynomials, lam0 is a flat
-band exactly when every one of those lam-polynomials vanishes at lam0,
-so the flat-band set is the root set of their gcd.  Working with the gcd
-keeps irrational and complex flat bands visible (as irreducible factors)
-without ever leaving rational arithmetic.  The gcd itself runs on
-primitive integer polynomials (`unipoly.gcd`); each rational root is
-checked again by exact division of those integer polynomials.
+as a sum of z-monomials times univariate lam-polynomials (its
+lam-slices), lam0 is a flat band exactly when every slice vanishes at
+lam0, so the flat-band set is the root set of their gcd.  Working with
+the gcd keeps irrational and complex flat bands visible (as irreducible
+factors) without ever leaving rational arithmetic.
+
+The decision runs in integers from the labels to the verdict.
+`flat_bands_of` and `generic_flat_band_decision` fill one
+`PencilTemplate` per graph, expand the integer determinant with
+`laurent.det_packed`, and read the slices straight off its packed keys:
+lam is the top base-B digit.  The slices go through one primitive
+remainder sequence on int tuples (`unipoly._primitive_gcd`), and only
+the final gcd becomes monic Fractions.  `flat_bands` takes a dispersion
+already held as a `LaurentPoly` into the same core.  Each rational root
+is checked again by exact division of the integer slices.
 """
 
 from __future__ import annotations
@@ -16,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
-from . import unipoly
-from .floquet import dispersion_polynomial, induced_dispersion
+from . import laurent, unipoly
+from .floquet import PencilTemplate, dispersion_polynomial, induced_dispersion
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentPoly, WeightVector
+from .laurent import LaurentPoly, PackedPencil, WeightVector
 from .polytope import projected_face_normals, face_of
 from .sampling import random_labeling, rng_for
 
@@ -41,18 +50,19 @@ class IrreducibleFactor:
 class FlatBandReport:
     """Flat-band polynomial g with its factorization over Q.
 
-    ``rational_roots`` lists (energy, multiplicity) pairs sorted by
-    energy; ``verified`` records, per root u/v of multiplicity m, that
-    (v * lam - u)^m divides in Z[lam] every primitive integer slice p_a of
-    the dispersion D = sum z^a p_a(lam), which holds exactly when it
-    divides D (Gauss's lemma for the step from Q to Z).
+    ``lam_slices`` holds the dispersion D = sum z^a p_a(lam) as integer
+    lam-slices: ascending coefficients of each p_a times a nonzero
+    integer.  ``rational_roots`` lists (energy, multiplicity) pairs
+    sorted by energy; ``verified`` records, per root u/v of multiplicity
+    m, that (v * lam - u)^m divides every slice in Z[lam], which holds
+    exactly when it divides D (Gauss's lemma for the step from Q to Z).
     Irrational and complex flat bands show up in ``irreducible_factors``.
     These three are computed together on first access and cached, so a
     caller that only counts flat bands never factors g.
     """
 
     flatband_poly: tuple[Fraction, ...]
-    dispersion: LaurentPoly = field(compare=False, repr=False)
+    lam_slices: tuple[Sequence[int], ...] = field(compare=False, repr=False)
 
     @property
     def flat_band_count(self) -> int:
@@ -66,8 +76,7 @@ class FlatBandReport:
     @cached_property
     def _factored(self):
         roots, others = unipoly.factor_rational(self.flatband_poly)
-        groups = _lam_groups(self.dispersion).values() if roots else ()
-        slices = [_lam_polynomial_int(group) for group in groups]
+        slices = self.lam_slices if roots else ()
         verified = []
         for root, multiplicity in roots:
             divisor = (-root.numerator, root.denominator)  # v * lam - u
@@ -115,56 +124,93 @@ def _check_monic_in_lam(poly: LaurentPoly) -> int:
     return degree
 
 
-def _lam_polynomial_int(coefficients: dict[int, Fraction]) -> tuple[int, ...]:
-    """Primitive integer lam-polynomial from {lam exponent: coefficient}."""
+def lam_slices_of(dispersion: LaurentPoly) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer lam-slices of a dispersion, in z-part order."""
+    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for key, coeff in dispersion.items():
+        groups.setdefault(key[:-1], {})[key[-1]] = coeff
+    return tuple(unipoly.primitive_part(_dense(groups[z_part])) for z_part in sorted(groups))
+
+
+def _dense(coefficients: dict[int, object]) -> list:
+    """Ascending coefficient list from {lam exponent: coefficient}."""
     dense = [0] * (max(coefficients) + 1)
     for power, coeff in coefficients.items():
         dense[power] = coeff
-    return unipoly.primitive_part(dense)
+    return dense
 
 
-def _lam_groups(dispersion: LaurentPoly) -> dict[tuple[int, ...], dict[int, Fraction]]:
-    """The terms grouped by z-part: {z-part: {lam exponent: coefficient}}."""
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for key, coeff in dispersion.items():
-        z_part = key[:-1]
-        group = groups.get(z_part)
-        if group is None:
-            groups[z_part] = {key[-1]: coeff}
-        else:
-            group[key[-1]] = coeff
-    return groups
+def _report(slices: Sequence[Sequence[int]], degree: int) -> FlatBandReport:
+    """The gcd core: the monic gcd of the integer slices, taken in order.
 
-
-def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
-    """All energies whose linear factor divides the dispersion.
-
-    The terms are grouped by z-part in one pass.  The gcd runs over the
-    lam-polynomials of the groups in z-part order, each turned into a
-    primitive integer polynomial only when the gcd reaches it, and exits
-    early once the gcd collapses to 1.  The smallest z-part is a vertex of
-    the support's z-projection; on random dispersions this order reached
-    1 in fewer steps than lowest lam-degree first.  Factoring g, and the
-    re-verification of every rational root on the integer slices, wait
-    until the report's roots or factors are read.
+    The gcd exits early once it collapses to 1.  The first slice belongs
+    to the smallest z-part in the caller's order, a vertex of the
+    support's z-projection; on random dispersions this order reached 1 in
+    fewer steps than lowest lam-degree first.  Factoring g, and the
+    re-verification of every rational root on the slices, wait until the
+    report's roots or factors are read.
     """
-    degree = _check_monic_in_lam(dispersion)
-    groups = _lam_groups(dispersion)
-    g: tuple[Fraction, ...] = ()
-    for z_part in sorted(groups):
-        g = unipoly.gcd(g, _lam_polynomial_int(groups[z_part]))
+    g: tuple[int, ...] = ()
+    for p in slices:
+        g = unipoly._primitive_gcd(g, unipoly._int_primitive(p))
         if len(g) == 1:
             break
     if not g:
         raise AssertionError("dispersion with no terms slipped through")
     if len(g) - 1 > degree:
         raise AssertionError("flat-band polynomial exceeds the lam degree")
+    lead = g[-1]
+    return FlatBandReport(tuple([Fraction(c, lead) for c in g]), tuple(slices))
 
-    return FlatBandReport(flatband_poly=g, dispersion=dispersion)
+
+def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
+    """All energies whose linear factor divides the dispersion.
+
+    For callers that hold the dispersion as a `LaurentPoly`: its terms
+    are grouped by z-part into primitive integer lam-slices, sorted by
+    z-part, and handed to the integer gcd core.
+    """
+    degree = _check_monic_in_lam(dispersion)
+    return _report(lam_slices_of(dispersion), degree)
+
+
+def _packed_report(pencil: PackedPencil) -> FlatBandReport:
+    """`flat_bands` of det(pencil), read off the integer determinant.
+
+    A packed key k of the determinant is sum(e_i * B**i) with lam
+    exponent b = e_d >= 0 and balanced z-digits, whose part below B**d
+    lies within +-H, H = B**d // 2.  So b = (k + H) // B**d, and
+    k - b * B**d packs the z-part.  The numerators share the pencil's
+    denominator, so each z-part's numerators form an integer slice.  The
+    lam-leading term must be (-1)^n over that denominator at z^0 and be
+    the only term of lam degree n, as in `FloquetMatrix.dispersion`.
+    """
+    n = pencil.size
+    step = pencil.base ** pencil.dimension
+    half = step // 2
+    lead = n * step
+    ints = laurent.det_packed(pencil)
+    if ints.get(lead) != (-1) ** n * pencil.denominator:
+        raise ArithmeticError("dispersion lost its leading lam term")
+    groups: dict[int, dict[int, int]] = {}
+    for key, value in ints.items():
+        b = (key + half) // step
+        if b >= n and key != lead:
+            raise ArithmeticError("dispersion lost its leading lam term")
+        z_part = key - b * step
+        group = groups.get(z_part)
+        if group is None:
+            groups[z_part] = {b: value}
+        else:
+            group[b] = value
+    return _report([_dense(groups[z_part]) for z_part in sorted(groups)], n)
 
 
 def flat_bands_of(graph: PeriodicGraph, labeling: Labeling) -> FlatBandReport:
-    return flat_bands(dispersion_polynomial(graph, labeling))
+    """`flat_bands` of the labeled dispersion, decided in integers."""
+    if labeling.graph != graph:
+        raise ValueError("labeling belongs to a different graph")
+    return _packed_report(PencilTemplate(graph).pack(labeling))
 
 
 @dataclass(frozen=True)
@@ -188,10 +234,11 @@ def generic_flat_band_decision(graph: PeriodicGraph, trials: int = 5,
     """Decide whether flat bands persist for random rational labelings."""
     if trials < 1:
         raise ValueError("at least one trial is required")
+    template = PencilTemplate(graph)
     reports = []
     for t in range(trials):
         labeling = random_labeling(graph, rng_for(seed, "decision", t))
-        reports.append(flat_bands_of(graph, labeling))
+        reports.append(_packed_report(template.pack(labeling)))
     answers = {report.has_flat_band for report in reports}
     consistent = len(answers) == 1
     return GenericFlatBandDecision(

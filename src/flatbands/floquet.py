@@ -6,14 +6,19 @@ entry picks up ``z^-a``.  A class joining an orbit to its own translate
 contributes ``w * (z^a + z^-a)`` on the diagonal, on top of the potential.
 The construction makes ``L(1/z)`` the transpose of ``L(z)``.
 
-A `FloquetMatrix` is built in one pass over the sorted edge classes into
-per-row ``(column, exponent, coefficient)`` triples of the pencil
-L(z) - lam * I.  Distinct classes give distinct exponents within an
-entry, so no term is ever summed.  The triples are packed for the
-integer determinant on the first `dispersion()` call, and the Laurent
-matrices `matrix` and `char_matrix()` are built from them only when
-something reads them.  `pattern_pencil` packs the same rows with every
-label set to 1, the pencil's 0/1 pattern.
+A `PencilTemplate` holds the pencil L(z) - lam * I of one graph with
+its labels left open: per row, (column, exponent, label) triples built
+in one pass over the sorted edge classes, and the same rows packed once
+as a `laurent.PackedTemplate` (each term's column, packed key and
+label).  Distinct classes give distinct exponents within an entry, so
+no term is ever summed.  `pack` fills the template with one labeling in
+integers, each row over the lcm of its label denominators, ready for
+`laurent.det_packed`; the exact decisions in `flatbands.flatband` fill
+one template per graph for every labeling they draw.  A `FloquetMatrix`
+packs its template on the first `dispersion()` call and builds the
+Laurent matrices `matrix` and `char_matrix()` only when something reads
+them.  `pattern_pencil` fills the template with every label set to 1,
+the pencil's 0/1 pattern.
 """
 
 from __future__ import annotations
@@ -22,23 +27,77 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentMatrix, LaurentPoly, PackedPencil, determinant, pack_rows
+from .laurent import (Exponent, LaurentMatrix, LaurentPoly, PackedPencil, PackedTemplate,
+                      determinant)
 
 _MINUS_ONE = Fraction(-1)
+
+
+class PencilTemplate:
+    """The pencil L(z) - lam * I of one graph, with its labels left open.
+
+    Labels are numbered: the potential of orbit v is label v, the weight
+    of the k-th sorted edge class is label n + k, and the -1 in front of
+    lam is the last label.  ``rows[v]`` lists the ``(column, exponent,
+    label)`` triples of row v: the potential, then w * z^a or w * z^-a
+    for each class in sorted order, then -lam on the diagonal.
+    ``packed`` is the same rows as a `laurent.PackedTemplate`.
+    """
+
+    __slots__ = ("graph", "edges", "rows", "packed")
+
+    def __init__(self, graph: PeriodicGraph):
+        d = graph.dimension
+        n = graph.num_orbits
+        edges = graph.sorted_edges()
+        zero = (0,) * d
+        rows: list[list[tuple[int, Exponent, int]]] = [
+            [(v, zero + (0,), v)] for v in range(n)]
+        for k, (i, j, a) in enumerate(edges):
+            rows[i].append((j, a + (0,), n + k))
+            rows[j].append((i, tuple([-e for e in a]) + (0,), n + k))
+        lam = zero + (1,)
+        for v, row in enumerate(rows):
+            row.append((v, lam, n + len(edges)))
+        self.graph = graph
+        self.edges = edges
+        self.rows = rows
+        self.packed = PackedTemplate(d, rows)
+
+    def _values(self, labeling: Labeling | None) -> list:
+        """Every label's value in label order; potentials and weights 1 without a labeling."""
+        if labeling is None:
+            return [1] * (self.graph.num_orbits + len(self.edges)) + [_MINUS_ONE]
+        weights = labeling.weights
+        return [*labeling.potentials, *[weights[e] for e in self.edges], _MINUS_ONE]
+
+    def pack(self, labeling: Labeling | None = None) -> PackedPencil:
+        """The pencil filled with `labeling`, packed for `laurent.det_packed`.
+
+        Each row holds integer numerators over the lcm of its nonzero
+        label denominators; terms with a zero label are left out.
+        """
+        return self.packed.fill(self._values(labeling))
+
+    def triples(self, labeling: Labeling | None = None
+                ) -> list[list[tuple[int, Exponent, Fraction | int]]]:
+        """Per-row (column, exponent, coefficient) triples; zero labels left out."""
+        values = self._values(labeling)
+        return [[(col, key, values[label]) for col, key, label in row if values[label]]
+                for row in self.rows]
 
 
 class FloquetMatrix:
     """Matrix-valued symbol of the periodic operator, with cached dispersion."""
 
-    __slots__ = ("graph", "labeling", "_rows", "_matrix", "_dispersion")
+    __slots__ = ("graph", "labeling", "_template", "_matrix", "_dispersion")
 
     def __init__(self, graph: PeriodicGraph, labeling: Labeling):
         if labeling.graph != graph:
             raise ValueError("labeling belongs to a different graph")
-        rows = _pencil_rows(graph, labeling)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labeling", labeling)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_template", PencilTemplate(graph))
         object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_dispersion", None)
 
@@ -64,7 +123,7 @@ class FloquetMatrix:
         d = self.graph.dimension
         n = self.size
         entries = []
-        for row in self._rows:
+        for row in self._template.triples(self.labeling):
             terms: list[dict] = [{} for _ in range(n)]
             for col, key, coeff in row:
                 if with_lam or key[-1] == 0:
@@ -75,14 +134,14 @@ class FloquetMatrix:
     def dispersion(self) -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.
 
-        The first call packs the triples and hands the packed pencil to
-        `determinant`.  The lam-leading coefficient is (-1)^n by
-        construction, which is asserted here as a cheap sanity check on
-        the determinant code.
+        The first call packs the template with the labeling and hands the
+        packed pencil to `determinant`.  The lam-leading coefficient is
+        (-1)^n by construction, which is asserted here as a cheap sanity
+        check on the determinant code.
         """
         if self._dispersion is not None:
             return self._dispersion
-        poly = determinant(pack_rows(self.graph.dimension, self._rows))
+        poly = determinant(self._template.pack(self.labeling))
         n = self.size
         lead = (0,) * self.graph.dimension + (n,)
         terms = poly._terms
@@ -93,42 +152,9 @@ class FloquetMatrix:
         return poly
 
 
-def _pencil_rows(graph: PeriodicGraph, labeling: Labeling | None = None
-                 ) -> list[list[tuple[int, tuple[int, ...], Fraction | int]]]:
-    """Per-row (column, exponent, coefficient) triples of L(z) - lam * I.
-
-    Row v lists the potential, then w * z^a or w * z^-a for each class in
-    sorted order, then -lam on the diagonal; zero labels are left out.
-    Without a labeling every potential and weight is 1, which gives the
-    pencil's pattern: each entry lists every monomial any labeling can
-    put there.
-    """
-    d = graph.dimension
-    zero = (0,) * d
-    if labeling is None:
-        potentials = [1] * graph.num_orbits
-        weights = dict.fromkeys(graph.edge_classes, 1)
-    else:
-        potentials, weights = labeling.potentials, labeling.weights
-    rows = []
-    for v, potential in enumerate(potentials):
-        rows.append([(v, zero + (0,), potential)] if potential else [])
-    for edge in graph.sorted_edges():
-        w = weights[edge]
-        if not w:
-            continue
-        i, j, a = edge
-        rows[i].append((j, a + (0,), w))
-        rows[j].append((i, tuple(-e for e in a) + (0,), w))
-    lam = zero + (1,)
-    for v, row in enumerate(rows):
-        row.append((v, lam, _MINUS_ONE))
-    return rows
-
-
 def pattern_pencil(graph: PeriodicGraph) -> PackedPencil:
     """The packed pencil of `graph` with every potential and weight set to 1."""
-    return pack_rows(graph.dimension, _pencil_rows(graph))
+    return PencilTemplate(graph).pack()
 
 
 def build_floquet(graph: PeriodicGraph, labeling: Labeling) -> FloquetMatrix:

@@ -6,19 +6,24 @@ is keyed by the exponent tuple ``(a_1, .., a_d, b)`` with the lam exponent
 ``b`` last.  Coefficients are `fractions.Fraction`; floats are rejected so
 that divisibility questions stay decidable.
 
-Determinants run in integers.  One packer, `pack_rows`, turns per-row
-``(column, exponent tuple, coefficient)`` triples into a `PackedPencil`:
-each row's numerators over the lcm of its denominators, every exponent
-tuple packed into one int by Kronecker substitution, and the product of
-the row denominators.  One expander, `det_leibniz`, takes such a pencil
-(or a `LaurentMatrix`, which it packs first), expands minors memoized on
-column bitmasks, and divides the denominators back out once per output
-term; `determinant` always runs it.  `det_bareiss` (fraction-free
-elimination over the Laurent ring) is the independent test oracle.
-`support_leibniz` runs the same expansion on exponent sets alone: the
-support of the permanent of the pencil's pattern.  Both decode packed
-keys through `_unpack`.  `format_poly` and `format_unipoly` share one
-term joiner.
+Determinants run in integers.  One packer, `PackedTemplate`, takes
+per-row ``(column, exponent tuple, label)`` triples once and `fill`s
+them with each set of label values into a `PackedPencil`: each row's
+numerators over the lcm of its denominators, every exponent tuple packed
+into one int by Kronecker substitution, and the product of the row
+denominators.  `pack_rows` packs coefficient triples through it.  One
+expander, `det_packed`, expands minors of such a pencil memoized on
+column bitmasks and returns the determinant as {packed key: integer
+numerator} over the pencil's denominator; the exact decisions in
+`flatbands.flatband` read it as it is.  `det_leibniz` takes a pencil
+(or a `LaurentMatrix`, which it packs first), runs `det_packed`, and
+decodes the result to a `LaurentPoly`, dividing the denominator back
+out once per term; `determinant` always runs it.  `det_bareiss`
+(fraction-free elimination over the Laurent ring) is the independent
+test oracle.  `support_leibniz` runs the same expansion on exponent sets
+alone: the support of the permanent of the pencil's pattern.  Both
+decode packed keys through `_unpack`.  `format_poly` and
+`format_unipoly` share one term joiner.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -314,14 +320,14 @@ class LaurentMatrix:
 
 
 class PackedPencil:
-    """Square matrix in the integer form that `det_leibniz` expands.
+    """Square matrix in the integer form that `det_packed` expands.
 
     ``rows[r]`` holds one ``(1 << col, terms, negated terms)`` triple per
     nonzero entry of row r, in ascending column order.  A term is a pair
     (packed exponent, integer numerator) over the row's lcm denominator.
     ``denominator`` is the product of the row denominators, so the
     determinant of the pencil is the integer determinant over it.
-    Exponents are packed in base ``base``; see `pack_rows`.
+    Exponents are packed in base ``base``; see `PackedTemplate`.
     """
 
     __slots__ = ("size", "dimension", "base", "rows", "denominator")
@@ -334,59 +340,96 @@ class PackedPencil:
         self.denominator = denominator
 
 
-def pack_rows(dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, object]]]
-              ) -> PackedPencil:
-    """Pack a square matrix given as per-row (column, exponent, coefficient) triples.
+class PackedTemplate:
+    """A square matrix packed for `det_packed`, with its coefficients left open.
 
-    Within a row, each (column, exponent) pair appears at most once and
-    every coefficient is a nonzero int or `Fraction`; a column with no
-    triple is a zero entry.  Row r is scaled by the lcm d_r of its
-    denominators, which multiplies the determinant by prod(d_r).
+    Built from per-row ``(column, exponent, label)`` triples.  Within a
+    row each (column, exponent) pair appears at most once; a column with
+    no triple is a zero entry.  ``label`` indexes the values that `fill`
+    takes, so one template serves every labeling of one pattern.
     Exponent vectors are packed into one int (Kronecker substitution):
     with m the largest |exponent| (at least 1) and B = 2*n*m + 1, the
     vector e maps to sum(e_k * B**k).  The map is linear, so multiplying
     monomials adds their packed keys, and every exponent of a k x k minor
     is bounded by k*m <= n*m < B/2, so balanced base-B digits decode each
     key of the determinant exactly.
+
+    ``rows[r]`` is a pair (labels, entries): the distinct labels of row
+    r, and its entries in ascending column order as ``(1 << column,
+    ((packed key, slot), ...))``, where ``labels[slot]`` labels the term.
     """
-    n = len(rows)
-    m = max([1] + [abs(e) for row in rows for _, key, _ in row for e in key])
-    base = 2 * n * m + 1
-    powers = [base ** k for k in range(dimension + 1)]
-    packed_keys: dict[Exponent, int] = {}
-    packed_rows = []
-    denominator = 1
+
+    __slots__ = ("size", "dimension", "base", "rows")
+
+    def __init__(self, dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, int]]]):
+        n = len(rows)
+        m = max([1] + [abs(e) for row in rows for _, key, _ in row for e in key])
+        base = 2 * n * m + 1
+        powers = [base ** k for k in range(dimension + 1)]
+        packed_rows = []
+        for row in rows:
+            labels = list(dict.fromkeys([label for _, _, label in row]))
+            columns: dict[int, list[tuple[int, int]]] = {}
+            for col, key, label in row:
+                term = (sum(map(mul, key, powers)), labels.index(label))
+                if col in columns:
+                    columns[col].append(term)
+                else:
+                    columns[col] = [term]
+            packed_rows.append((tuple(labels), tuple(
+                (1 << col, tuple(terms)) for col, terms in sorted(columns.items()))))
+        self.size = n
+        self.dimension = dimension
+        self.base = base
+        self.rows = packed_rows
+
+    def fill(self, values: Sequence) -> PackedPencil:
+        """The matrix with coefficient ``values[label]`` on each term.
+
+        Values are ints or `Fraction`s.  Row r is scaled by the lcm d_r of
+        its nonzero denominators and holds integer numerators, which
+        multiplies the determinant by prod(d_r), the pencil's
+        denominator.  Terms with a zero value are left out, and so is an
+        entry with no term left.
+        """
+        ratios = [(value.numerator, value.denominator) for value in values]
+        denominator = 1
+        packed_rows = []
+        for labels, entries in self.rows:
+            row = [ratios[label] for label in labels]
+            scale = math.lcm(*[den for num, den in row if num])
+            denominator *= scale
+            nums = [num * (scale // den) for num, den in row]
+            packed_row = []
+            for bit, terms in entries:
+                kept = tuple([(key, nums[slot]) for key, slot in terms if nums[slot]])
+                if kept:
+                    packed_row.append((bit, kept, tuple([(key, -c) for key, c in kept])))
+            packed_rows.append(packed_row)
+        return PackedPencil(self.size, self.dimension, self.base, packed_rows, denominator)
+
+
+def pack_rows(dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, object]]]
+              ) -> PackedPencil:
+    """Pack a square matrix given as per-row (column, exponent, coefficient) triples.
+
+    A `PackedTemplate` with one label per triple, filled with the
+    coefficients at once; see there for the packing and the scaling.
+    """
+    values: list = []
+    labeled = []
     for row in rows:
-        scale = math.lcm(*[coeff.denominator for _, _, coeff in row])
-        denominator *= scale
-        columns: dict[int, list[tuple[int, int]]] = {}
-        for col, key, coeff in row:
-            packed = packed_keys.get(key)
-            if packed is None:
-                packed = packed_keys[key] = sum([e * p for e, p in zip(key, powers)])
-            term = (packed, coeff.numerator * (scale // coeff.denominator))
-            if col in columns:
-                columns[col].append(term)
-            else:
-                columns[col] = [term]
-        packed_rows.append([
-            (1 << col, tuple(terms), tuple([(k, -c) for k, c in terms]))
-            for col, terms in sorted(columns.items())
-        ])
-    return PackedPencil(n, dimension, base, packed_rows, denominator)
+        labeled.append([(col, key, len(values) + k) for k, (col, key, _) in enumerate(row)])
+        values.extend([coeff for _, _, coeff in row])
+    return PackedTemplate(dimension, labeled).fill(values)
 
 
 def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
-    """Determinant by minor expansion along rows, memoized on column sets.
+    """Determinant as a `LaurentPoly`: `det_packed`, then one decode.
 
-    The expansion runs in plain Python integers on a `PackedPencil`; a
-    `LaurentMatrix` is packed through `pack_rows` first.  Each output
-    coefficient is divided by the pencil's denominator once at the end,
-    and each packed key is decoded into balanced base-B digits.
-
-    A minor is keyed by the bitmask of its remaining columns; it expands
-    row n - popcount(mask), and column ``bit`` enters with the sign of the
-    number of remaining columns before it.
+    A `LaurentMatrix` is packed through `pack_rows` first.  Each output
+    coefficient is divided by the pencil's denominator once, and each
+    packed key is decoded into balanced base-B digits.
     """
     if isinstance(matrix, PackedPencil):
         pencil = matrix
@@ -396,12 +439,25 @@ def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
              for key, coeff in entry._terms.items()]
             for row in matrix.entries
         ])
-    n = pencil.size
-    dim = pencil.dimension
     base = pencil.base
+    dim = pencil.dimension
     denominator = pencil.denominator
-    rows = pencil.rows
+    out = {_unpack(packed, base, dim): Fraction(value, denominator)
+           for packed, value in det_packed(pencil).items()}
+    return LaurentPoly._from_terms(dim, out)
 
+
+def det_packed(pencil: PackedPencil) -> dict[int, int]:
+    """Integer determinant of a packed pencil: {packed key: numerator}.
+
+    Every numerator is over ``pencil.denominator``, and no value is 0.
+    Minor expansion along rows, memoized on column sets: a minor is keyed
+    by the bitmask of its remaining columns; it expands row
+    n - popcount(mask), and column ``bit`` enters with the sign of the
+    number of remaining columns before it.
+    """
+    n = pencil.size
+    rows = pencil.rows
     memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
     def minor(mask: int) -> dict[int, int]:
@@ -425,9 +481,7 @@ def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
         memo[mask] = result
         return result
 
-    out = {_unpack(packed, base, dim): Fraction(value, denominator)
-           for packed, value in minor((1 << n) - 1).items()}
-    return LaurentPoly._from_terms(dim, out)
+    return minor((1 << n) - 1)
 
 
 def support_leibniz(pencil: PackedPencil) -> frozenset[Exponent]:
@@ -572,11 +626,12 @@ def det_bareiss(matrix: LaurentMatrix) -> LaurentPoly:
 
 
 def determinant(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
-    """Exact determinant by `det_leibniz`; the one place that picks a kernel.
+    """Exact determinant as a `LaurentPoly`, by `det_leibniz`.
 
     On the sparse Floquet pencils of the benchmark corpus (n = 4..8) the
     integer expansion is 10-100x faster than Bareiss elimination, whose
-    intermediate entries grow dense.
+    intermediate entries grow dense.  The exact decisions run the same
+    expansion, `det_packed`, and skip the decode.
     """
     return det_leibniz(matrix)
 

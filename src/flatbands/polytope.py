@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .floquet import FloquetMatrix, pattern_pencil
 from .graph import Labeling, PeriodicGraph
@@ -399,8 +399,8 @@ def newton_polytope_data(points: Iterable[Point]) -> NewtonPolytopeData:
 # facial independence in the potentials
 
 
-def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence[int],
-                                support_points: Iterable[Point] | None = None
+def facial_independence_witness(graph: PeriodicGraph, face: FaceDescriptor,
+                                support_points: AbstractSet[Point] | None = None
                                 ) -> int | None:
     """Orbit whose potential the facial polynomial provably ignores.
 
@@ -413,35 +413,33 @@ def facial_independence_witness(graph: PeriodicGraph, w: WeightVector | Sequence
     draws no labels and takes no determinant.  Returns the first such
     orbit index (0-based), or None when every potential reaches the face.
 
-    `support_points` defaults to the exact `generic_support` of the
-    graph, and `w` must pick out a proper vertical face of it.  With two
-    or more orbits the argument needs that support: the min-plus
-    permanent of the whole of W is the least w.p over the generic
-    support, and a support whose minimum differs raises ValueError.  A
-    one-orbit graph has no vertical face in its generic support; there
-    the cofactor is the empty determinant 1, tested against the given
-    face directly.
+    `face` is the caller's `face_of` descriptor on the set
+    `support_points`, which defaults to the exact `generic_support` of
+    the graph; it must be a proper vertical face of that set.  With two or more orbits the
+    argument needs that support: the min-plus permanent of the whole of
+    W is the least w.p over the generic support, and a face whose
+    minimum differs raises ValueError.  A one-orbit graph has no vertical
+    face in its generic support; there the cofactor is the empty
+    determinant 1, tested against the given face directly.
     """
-    w = tuple(w)
+    w = face.normal.components
     if len(w) != graph.dimension + 1 or w[-1] != 0:
         raise ValueError("weight vector must have a zero lam component")
     if support_points is None:
         support_points = generic_support(graph)
-    pts = set(support_points)
-    descriptor = face_of(pts, w)
-    if len(descriptor.members) == len(pts):
+    members = face.members
+    if len(members) == len(support_points):
         raise ValueError("weight vector identifies the whole polytope, not a proper face")
-    if not _has_vertical_pair(descriptor.members):
+    if not _has_vertical_pair(members):
         raise ValueError("face has no vertical pair; not a vertical face")
 
-    members = descriptor.members
     n = graph.num_orbits
     if n == 1:
         # the cofactor of a 1 x 1 pencil is the empty determinant, 1
         return None if (0,) * len(w) in members else 0
     rows = _face_weights(graph, w[:-1])
     full = (1 << n) - 1
-    m = descriptor.min_value
+    m = face.min_value
     if _minplus_permanent(rows, full) != m:
         raise ValueError("support_points is not the generic support of the graph")
     for orbit in range(n):

@@ -112,18 +112,22 @@ def primitive_part(p: Sequence) -> tuple[int, ...]:
 
     Trailing zeros are dropped first; the zero polynomial gives ().
     """
-    end = len(p)
-    while end and not p[end - 1]:
+    p = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p]
+    denom = math.lcm(*[c.denominator for c in p])
+    return _int_primitive([c.numerator * (denom // c.denominator) for c in p])
+
+
+def _int_primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """`primitive_part` of a polynomial whose coefficients are already ints."""
+    end = len(ints)
+    while end and not ints[end - 1]:
         end -= 1
     if not end:
         return ()
-    p = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p[:end]]
-    denom = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (denom // c.denominator) for c in p]
     g = math.gcd(*ints)
-    if ints[-1] < 0:
+    if ints[end - 1] < 0:
         g = -g
-    return tuple(c // g for c in ints)
+    return tuple([c // g for c in ints[:end]])
 
 
 def _prem_primitive(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,7 +146,7 @@ def _prem_primitive(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             rem = [lead * x for x in rem]
             for i in range(top):
                 rem[shift + i] -= c * b[i]
-    return primitive_part(rem)
+    return _int_primitive(rem)
 
 
 def _primitive_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -184,9 +184,7 @@ def test_criterion_6_facial_independence_witnesses():
         if faces:
             eligible += 1
         for face in faces:
-            witness = facial_independence_witness(
-                graph, face.normal, support_points=support,
-            )
+            witness = facial_independence_witness(graph, face, support_points=support)
             faces_checked += 1
             if witness is None:
                 failures.append((t, tuple(face.normal.components)))

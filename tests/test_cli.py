@@ -156,6 +156,14 @@ class TestGeneric:
         assert report["per_trial_flat_band_counts"] == [2, 2, 2]
         assert report["generic_flat_band"] is True
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_rejects_trials_below_one_before_reading_the_file(self, capsys, tmp_path,
+                                                              trials):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, "--json", "generic", missing, "--trials", trials)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "input error: --trials must be at least 1\n"
+
 
 class TestPolytope:
     def test_lieb_faces(self, capsys, lieb_json_path):
@@ -221,6 +229,19 @@ class TestVerifyTheorem:
         code, out, _ = run_cli(capsys, "--json", "verify-theorem", "--count", "0")
         assert code == EXIT_OK
         assert json.loads(out)["count"] == 0
+
+    @pytest.mark.parametrize("count", ["0", "5"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_rejects_trials_below_one_before_any_graph(self, capsys, monkeypatch,
+                                                       count, trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no graph may be drawn")
+
+        monkeypatch.setattr(cli, "random_periodic_graph", refuse)
+        code, out, err = run_cli(capsys, "--json", "verify-theorem",
+                                 "--count", count, "--trials", trials)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "input error: --trials must be at least 1\n"
 
 
 class TestBands:
@@ -395,6 +416,19 @@ class TestErrorPaths:
         assert err.startswith("internal error: ")
         assert "Traceback" not in err
 
+    def test_a_broken_integer_determinant_is_an_internal_error(self, capsys, monkeypatch,
+                                                               lieb_json_path):
+        # the exact commands all expand through det_packed; a doubled result
+        # breaks the (-1)^n lam-leading term that each of them checks
+        expand = laurent.det_packed
+        monkeypatch.setattr(laurent, "det_packed",
+                            lambda pencil: {k: 2 * v for k, v in expand(pencil).items()})
+        for argv in (["analyze", lieb_json_path], ["generic", lieb_json_path],
+                     ["verify-theorem", "--count", "3"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (EXIT_INTERNAL_ERROR, "")
+            assert err == "internal error: dispersion lost its leading lam term\n"
+
     @pytest.mark.parametrize("as_json", [False, True])
     def test_analyze_prints_integers_past_the_str_limit(self, capsys, tmp_path, as_json):
         # the dispersion holds the cubed potential, 6001 digits
@@ -540,7 +574,7 @@ class TestExactWorkPerCommand:
     ])
     def test_exact_commands_make_one_laurent_poly_per_dispersion(
             self, capsys, monkeypatch, lieb_json_path, argv):
-        counts = {"matrices": 0, "polys": 0, "dispersions": 0}
+        counts = {"matrices": 0, "polys": 0, "dispersions": 0, "floquet": 0, "decoded": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -553,13 +587,20 @@ class TestExactWorkPerCommand:
         monkeypatch.setattr(LaurentPoly, "__init__", counting("polys", LaurentPoly.__init__))
         monkeypatch.setattr(LaurentPoly, "_from_terms", classmethod(
             counting("polys", LaurentPoly._from_terms.__func__)))
-        monkeypatch.setattr(laurent, "det_leibniz",
-                            counting("dispersions", laurent.det_leibniz))
+        monkeypatch.setattr(laurent, "det_packed",
+                            counting("dispersions", laurent.det_packed))
+        monkeypatch.setattr(FloquetMatrix, "__init__",
+                            counting("floquet", FloquetMatrix.__init__))
+        monkeypatch.setattr(laurent, "det_leibniz", counting("decoded", laurent.det_leibniz))
         argv = [lieb_json_path if a == "LIEB" else a for a in argv]
         code, _, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        assert counts["matrices"] == 0
-        assert 0 < counts["polys"] <= counts["dispersions"]
+        # the decisions stay in integers: each labeling is one integer
+        # determinant, with no Floquet matrix and no Laurent polynomial
+        # (4 trials of generic; 5 graphs of 5 trials for verify-theorem)
+        assert counts["dispersions"] == (4 if "generic" in argv else 25)
+        assert counts["matrices"] == counts["polys"] == 0
+        assert counts["floquet"] == counts["decoded"] == 0
 
     def test_bands_builds_one_floquet_matrix(self, capsys, monkeypatch, lieb_json_path):
         builds = []

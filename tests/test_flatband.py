@@ -3,20 +3,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flatbands import unipoly
+from flatbands import laurent, unipoly
 from flatbands.flatband import (
     FlatBandReport,
     flat_bands,
     flat_bands_of,
     generic_flat_band_decision,
     inheritance_check,
+    lam_slices_of,
     vertical_segment_face_witness,
 )
-from flatbands.floquet import dispersion_polynomial
-from flatbands.graph import Labeling, PeriodicGraph
-from flatbands.laurent import LaurentPoly, format_poly
+from flatbands.floquet import FloquetMatrix, dispersion_polynomial
+from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
+from flatbands.laurent import LaurentPoly, det_bareiss, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
 F = Fraction
@@ -105,7 +106,7 @@ def test_divisibility_check_runs_when_roots_are_read(lieb_graph, lieb_labeling):
     # a report whose dispersion lacks the flat band fails the check
     report = flat_bands_of(lieb_graph, lieb_labeling)
     lam = LaurentPoly.lam(2)
-    forged = type(report)(report.flatband_poly, dispersion=lam - 1)
+    forged = type(report)(report.flatband_poly, lam_slices=lam_slices_of(lam - 1))
     assert forged == report
     assert forged.rational_roots == ((F(0), 1),)
     assert forged.verified == (False,)
@@ -145,7 +146,7 @@ def test_verification_divides_each_slice_by_the_full_multiplicity():
     lam = LaurentPoly.lam(1)
     z = LaurentPoly.z_var(1, 0)
     dispersion = (lam - 3) * (lam - 3) + z * (lam - 3)
-    forged = FlatBandReport((F(9), F(-6), F(1)), dispersion=dispersion)
+    forged = FlatBandReport((F(9), F(-6), F(1)), lam_slices=lam_slices_of(dispersion))
     assert forged.rational_roots == ((F(3), 2),)
     assert forged.verified == (False,)
 
@@ -157,7 +158,7 @@ def test_verification_reads_every_slice():
         (0, 2): 1, (0, 1): -2,
         (1, 1): 2, (1, 0): -6,
     })
-    forged = FlatBandReport((F(-3), F(1)), dispersion=dispersion)
+    forged = FlatBandReport((F(-3), F(1)), lam_slices=lam_slices_of(dispersion))
     assert forged.rational_roots == ((F(3), 1),)
     assert forged.verified == (False,)
 
@@ -184,6 +185,114 @@ def test_flatband_poly_divides_every_slice():
         for z_part in {key[:-1] for key in d.support()}:
             _, rem = unipoly.divmod_exact(lam_polynomial_at(d, z_part), g_poly)
             assert rem == ()
+
+
+@st.composite
+def planted_labelings(draw):
+    """n = 1..7 orbits in d = 1..3 with offsets in -2..2, self classes included.
+
+    The last 0..3 orbits may form a planted refittable block: a component
+    whose class offsets are differences s_j - s_i of orbit shifts, so
+    that L(z) restricted to it is a constant matrix after a diagonal
+    change of basis, and each of its eigenvalues is a flat band.  About
+    half the potentials are 0; labels reach 10^20 over denominators up to
+    10^12, and one labeling in five may carry zero weights.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    block = draw(st.integers(0, min(3, n)))
+    free = n - block
+    offset = st.tuples(*[st.integers(-2, 2)] * d)
+    edges = set()
+    if free:
+        orbit = st.integers(0, free - 1)
+        for i, j, a in draw(st.lists(st.tuples(orbit, orbit, offset), max_size=free + 2)):
+            if i != j or any(a):
+                edges.add(canonicalize_edge(i, j, a))
+    if block:
+        shifts = [draw(offset) for _ in range(block)]
+        orbit = st.integers(0, block - 1)
+        for i, j in draw(st.lists(st.tuples(orbit, orbit), max_size=block + 1)):
+            if i != j:
+                a = tuple(y - x for x, y in zip(shifts[i], shifts[j]))
+                edges.add(canonicalize_edge(free + i, free + j, a))
+    graph = PeriodicGraph(d, n, sorted(edges))
+    label = (st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+             | st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**12)))
+    allow_zero = draw(st.integers(0, 4)) == 0
+    weight = label if allow_zero else label.filter(bool)
+    potentials = [draw(st.just(0) | label) for _ in range(n)]
+    weights = {edge: draw(weight) for edge in graph.sorted_edges()}
+    return Labeling(graph, potentials, weights, allow_zero=allow_zero), block
+
+
+# every orbit has the self class (m, .., m), so the determinant reaches
+# z^(n*m, .., n*m) and z^-(n*m, .., n*m): packed keys b * B^d +- H, the
+# ends of the range the lam digit (k + H) // B^d decodes
+@example(case=(Labeling(PeriodicGraph(3, 1, [(0, 0, (2, 2, 2))]), [0],
+                        {(0, 0, (2, 2, 2)): F(-7, 10**6)}), 0))
+@example(case=(Labeling(PeriodicGraph(2, 3, [(0, 0, (2, 2)), (1, 1, (2, 2)), (2, 2, (2, 2)),
+                                             (0, 1, (-2, 1)), (1, 2, (0, -2))]),
+                        [F(10**20, 3), 0, F(-1, 10**12)],
+                        {(0, 0, (2, 2)): 5, (1, 1, (2, 2)): F(-2, 7), (2, 2, (2, 2)): 10**15,
+                         (0, 1, (-2, 1)): F(1, 99), (1, 2, (0, -2)): -1}), 0))
+# a dispersive pair beside a planted three-orbit block with shifts
+# (0, 0), (1, -1) and (2, 1)
+@example(case=(Labeling(PeriodicGraph(2, 5, [(0, 1, (1, 0)), (0, 0, (0, 1)), (2, 3, (1, -1)),
+                                             (3, 4, (1, 2)), (2, 4, (2, 1))]),
+                        [F(3, 4), 0, F(-10**9, 7), 0, 2],
+                        {(0, 1, (1, 0)): F(-5, 3), (0, 0, (0, 1)): 11, (2, 3, (1, -1)): F(1, 3),
+                         (3, 4, (1, 2)): F(-10**12, 13), (2, 4, (2, 1)): 4}), 3))
+@given(case=planted_labelings())
+@settings(max_examples=120, deadline=None)
+def test_integer_decision_matches_the_bareiss_oracle(case):
+    labeling, block = case
+    graph = labeling.graph
+    report = flat_bands_of(graph, labeling)
+    oracle = flat_bands(det_bareiss(FloquetMatrix(graph, labeling).char_matrix()))
+    assert report.flatband_poly == oracle.flatband_poly
+    assert report.flat_band_count >= block
+    # each z-part's slice, decoded from the packed keys, is the oracle's
+    # slice up to a constant
+    assert (sorted(unipoly._int_primitive(p) for p in report.lam_slices)
+            == sorted(oracle.lam_slices))
+    assert report.rational_roots == oracle.rational_roots
+    assert report.verified == oracle.verified
+    assert all(report.verified)
+
+
+@pytest.mark.parametrize("stray", ["doubled", "above the lead", "below the lead"])
+def test_integer_decision_checks_the_lead_term(monkeypatch, lieb_graph, lieb_labeling, stray):
+    # the lam-leading term must be (-1)^n over the pencil's denominator
+    # and the only term of lam degree n
+    expand = laurent.det_packed
+
+    def broken(pencil):
+        ints = dict(expand(pencil))
+        lead = pencil.size * pencil.base ** pencil.dimension
+        if stray == "doubled":
+            return {key: 2 * value for key, value in ints.items()}
+        ints[lead + 1 if stray == "above the lead" else lead - 1] = pencil.denominator
+        return ints
+
+    monkeypatch.setattr(laurent, "det_packed", broken)
+    with pytest.raises(ArithmeticError, match="leading lam term"):
+        flat_bands_of(lieb_graph, lieb_labeling)
+    with pytest.raises(ArithmeticError, match="leading lam term"):
+        generic_flat_band_decision(lieb_graph, trials=1)
+
+
+def test_generic_decision_fills_one_template_per_draw():
+    # one pencil template serves every trial; each report equals the one
+    # from that trial's own labeling and dispersion
+    for trial in range(30):
+        g = random_periodic_graph(rng_for("reuse", trial), dims=(1, 2, 3),
+                                  max_orbits=6, max_edges=10)
+        decision = generic_flat_band_decision(g, trials=3, seed=trial)
+        for t, report in enumerate(decision.reports):
+            labeling = random_labeling(g, rng_for(trial, "decision", t))
+            expected = flat_bands(dispersion_polynomial(g, labeling))
+            assert report.flatband_poly == expected.flatband_poly
 
 
 def test_generic_decision_lieb(lieb_graph):

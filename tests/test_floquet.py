@@ -212,13 +212,13 @@ def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):
 
 def test_pencil_is_packed_on_the_first_dispersion(monkeypatch, lieb_graph, lieb_labeling):
     sizes = []
-    pack = floquet.pack_rows
+    pack = floquet.PencilTemplate.pack
 
-    def counted_pack(dimension, rows):
-        sizes.append(len(rows))
-        return pack(dimension, rows)
+    def counted_pack(template, labeling=None):
+        sizes.append(template.graph.num_orbits)
+        return pack(template, labeling)
 
-    monkeypatch.setattr(floquet, "pack_rows", counted_pack)
+    monkeypatch.setattr(floquet.PencilTemplate, "pack", counted_pack)
     matrix = FloquetMatrix(lieb_graph, lieb_labeling)
     assert sizes == []
     first = matrix.dispersion()

@@ -181,17 +181,18 @@ class TestFacialIndependenceWitness:
             (0, -1, 0): 1,
         }
         for w, expected in cases.items():
-            witness = facial_independence_witness(lieb_graph, w, support_points=pts)
+            witness = facial_independence_witness(lieb_graph, face_of(pts, w), support_points=pts)
             assert witness == expected
 
     def test_rejects_nonzero_lam_weight(self, lieb_graph):
         with pytest.raises(ValueError):
-            facial_independence_witness(lieb_graph, (1, 0, 1))
+            facial_independence_witness(lieb_graph,
+                                        face_of(generic_support(lieb_graph), (1, 0, 1)))
 
     def test_rejects_whole_polytope(self, lieb_graph):
         pts = generic_support(lieb_graph)
         with pytest.raises(ValueError):
-            facial_independence_witness(lieb_graph, (0, 0, 0), support_points=pts)
+            facial_independence_witness(lieb_graph, face_of(pts, (0, 0, 0)), support_points=pts)
 
     def test_rejects_a_support_that_is_not_generic(self, lieb_graph):
         pts = generic_support(lieb_graph)
@@ -200,14 +201,15 @@ class TestFacialIndependenceWitness:
         narrower = pts - {(-1, 0, 0), (-1, 0, 1)}
         for support in (wider, narrower):
             with pytest.raises(ValueError, match="not the generic support"):
-                facial_independence_witness(lieb_graph, (1, 0, 0), support_points=support)
+                facial_independence_witness(lieb_graph, face_of(support, (1, 0, 0)),
+                                            support_points=support)
 
     def test_rejects_non_vertical_face(self):
         g = PeriodicGraph(1, 1, [(0, 0, (1,))])
         pts = generic_support(g)
         # w = (1, 0) picks the lone z^-1 corner, which has no vertical pair
         with pytest.raises(ValueError):
-            facial_independence_witness(g, (1, 0), support_points=pts)
+            facial_independence_witness(g, face_of(pts, (1, 0)), support_points=pts)
 
 
 def _two_sample_witness(graph, w, rng, support_points):
@@ -281,7 +283,7 @@ def test_cofactor_witness_matches_two_sample_oracle(graph):
         return
     for k, face in enumerate(vertical_faces(pts)):
         w = face.normal.components
-        got = facial_independence_witness(graph, w, support_points=pts)
+        got = facial_independence_witness(graph, face, support_points=pts)
         assert got == _two_sample_witness(graph, w, rng_for("witness", k), pts)
 
 
@@ -315,7 +317,7 @@ def test_cofactor_witness_on_one_orbit():
         ({(0, 1), (0, 2), (1, 0)}, (1, 0), 0),
         ({(0, 0), (0, 1), (1, 0)}, (1, 0), None),
     ):
-        got = facial_independence_witness(g, w, support_points=support)
+        got = facial_independence_witness(g, face_of(support, w), support_points=support)
         assert got == expected
         assert _two_sample_witness(g, w, random.Random(0), support) == expected
 
@@ -330,7 +332,7 @@ def test_witness_draws_no_labels_and_takes_no_determinant(monkeypatch, lieb_grap
     monkeypatch.setattr(laurent, "det_leibniz", forbidden)
     monkeypatch.setattr(laurent, "det_bareiss", forbidden)
     monkeypatch.setattr(sampling, "random_labeling", forbidden)
-    witnesses = [facial_independence_witness(lieb_graph, w, support_points=pts)
+    witnesses = [facial_independence_witness(lieb_graph, face_of(pts, w), support_points=pts)
                  for w in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
     assert witnesses == [0, 0, 1, 1]
 
@@ -353,7 +355,7 @@ def _cofactor_witness(graph, w, support_points):
     n = graph.num_orbits
     if n == 1:
         return None if (0,) * len(w) in members else 0
-    rows = floquet._pencil_rows(graph, base)
+    rows = floquet.PencilTemplate(graph).triples(base)
     for orbit in range(n):
         cofactor = determinant(pack_rows(graph.dimension, _cofactor_rows(rows, orbit)))
         if members.isdisjoint(cofactor.support()):
@@ -363,7 +365,7 @@ def _cofactor_witness(graph, w, support_points):
 
 def _set_witness(graph, members):
     """Oracle: the first orbit whose cofactor pattern support misses the face."""
-    rows = floquet._pencil_rows(graph)
+    rows = floquet.PencilTemplate(graph).triples()
     for orbit in range(graph.num_orbits):
         support = support_leibniz(pack_rows(graph.dimension, _cofactor_rows(rows, orbit)))
         if members.isdisjoint(support):
@@ -389,7 +391,7 @@ def test_minplus_witness_matches_the_cofactor_oracles(graph):
         return
     for face in vertical_faces(pts):
         w = face.normal.components
-        got = facial_independence_witness(graph, w, support_points=pts)
+        got = facial_independence_witness(graph, face, support_points=pts)
         assert got == _set_witness(graph, face.members)
         assert got == _cofactor_witness(graph, w, pts)
 
