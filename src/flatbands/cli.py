@@ -362,6 +362,8 @@ def _check_float_labels(spec: GraphSpec, labeling: Labeling) -> None:
 
 
 def cmd_bands(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise GraphFormatError("--tol must be a positive finite number")
     spec = load_graph_file(args.file)
     labeling = resolve_labeling(spec, args.labels, args.seed, tame=True)
     _check_float_labels(spec, labeling)
@@ -371,7 +373,7 @@ def cmd_bands(args) -> int:
     # not depend on the scale of the labels; the floor keeps a positive
     # tolerance positive at the smallest scales
     scale = max(abs(value) for row in sample.bands for value in row)
-    tol = max(args.tol * scale, math.ulp(0.0)) if scale and args.tol > 0 else args.tol
+    tol = max(args.tol * scale, math.ulp(0.0)) if scale else args.tol
     flags = numeric_flat_flags(sample, tol)
     exact = flat_bands(matrix.dispersion())
     crosschecks = []

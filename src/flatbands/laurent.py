@@ -20,9 +20,10 @@ numerator} over the pencil's denominator; the exact decisions in
 decodes the result to a `LaurentPoly`, dividing the denominator back
 out once per term; `determinant` always runs it.  `det_bareiss`
 (fraction-free elimination over the Laurent ring) is the independent
-test oracle.  `support_leibniz` runs the same expansion on exponent sets
-alone: the support of the permanent of the pencil's pattern.  Both
-decode packed keys through `_unpack`.  `format_poly` and
+test oracle.  `support_leibniz` runs `det_packed` too, on the same keys
+with every coefficient 1 and no sign flip: that expands the permanent of
+the pencil's pattern, whose keys are its support.  Both decode packed
+keys through `_unpack`.  `format_poly` and
 `format_unipoly` share one term joiner.
 """
 
@@ -454,7 +455,9 @@ def det_packed(pencil: PackedPencil) -> dict[int, int]:
     Minor expansion along rows, memoized on column sets: a minor is keyed
     by the bitmask of its remaining columns; it expands row
     n - popcount(mask), and column ``bit`` enters with the sign of the
-    number of remaining columns before it.
+    number of remaining columns before it.  The sign is carried by each
+    entry's negated terms, so rows whose negated terms equal their terms
+    make this the permanent; `support_leibniz` runs it that way.
     """
     n = pencil.size
     rows = pencil.rows
@@ -487,35 +490,23 @@ def det_packed(pencil: PackedPencil) -> dict[int, int]:
 def support_leibniz(pencil: PackedPencil) -> frozenset[Exponent]:
     """Support of the permanent of the pencil's pattern: every reachable exponent.
 
-    The same row expansion as `det_leibniz`, memoized on column bitmasks,
-    with sets of packed exponents in place of coefficient dicts: the
-    minor on ``mask`` is the union of ``{key + s}`` over the keys of each
-    entry in its row and the exponents s of the sub-minor.  Coefficients
-    and signs are ignored, so this is the support of the determinant
-    exactly when no two cover terms with one exponent can cancel; see
-    `flatbands.polytope.generic_support` for why that holds for a
-    pencil whose every label is an indeterminate.
+    `det_packed` on the same keys with every coefficient 1 and no sign
+    flip expands the permanent; each output coefficient counts the cycle
+    covers that reach its key, so none cancels.  Its keys are exactly the
+    support of the determinant when no two cover terms with one exponent
+    can cancel; see `flatbands.polytope.generic_support` for why that
+    holds for a pencil whose every label is an indeterminate.
     """
-    n = pencil.size
-    rows = [[(bit, [key for key, _ in terms]) for bit, terms, _ in row]
-            for row in pencil.rows]
-    memo: dict[int, set[int]] = {0: {0}}
-
-    def minor(mask: int) -> set[int]:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc: set[int] = set()
-        for bit, keys in rows[n - mask.bit_count()]:
-            if mask & bit:
-                sub = minor(mask ^ bit)
-                acc |= {key + s for key in keys for s in sub}
-        memo[mask] = acc
-        return acc
-
-    base = pencil.base
-    dim = pencil.dimension
-    return frozenset(_unpack(packed, base, dim) for packed in minor((1 << n) - 1))
+    rows = []
+    for row in pencil.rows:
+        unit = []
+        for bit, terms, _ in row:
+            ones = tuple([(key, 1) for key, _ in terms])
+            unit.append((bit, ones, ones))
+        rows.append(unit)
+    unit_pencil = PackedPencil(pencil.size, pencil.dimension, pencil.base, rows, 1)
+    return frozenset(_unpack(packed, pencil.base, pencil.dimension)
+                     for packed in det_packed(unit_pencil))
 
 
 def _unpack(packed: int, base: int, dimension: int) -> Exponent:
@@ -675,7 +666,7 @@ def _join_terms(terms: Iterable[tuple[int | Fraction, list[str]]]) -> str:
     return " ".join([head] + pieces[1:])
 
 
-def format_poly(poly: LaurentPoly, lam_name: str = "lam") -> str:
+def format_poly(poly: LaurentPoly) -> str:
     """Render with terms sorted by (lam exponent, z exponents)."""
     d = poly.dimension
     terms = []
@@ -689,15 +680,15 @@ def format_poly(poly: LaurentPoly, lam_name: str = "lam") -> str:
                 factors.append(f"z{axis + 1}^{e}")
         b = key[-1]
         if b == 1:
-            factors.append(lam_name)
+            factors.append("lam")
         elif b != 0:
-            factors.append(f"{lam_name}^{b}")
+            factors.append(f"lam^{b}")
         terms.append((poly._terms[key], factors))
     return _join_terms(terms)
 
 
-def format_unipoly(coeffs: Sequence[int | Fraction], var: str = "lam") -> str:
+def format_unipoly(coeffs: Sequence[int | Fraction]) -> str:
     """Render ascending coefficients with the highest power first."""
     return _join_terms(
-        (coeffs[p], [] if p == 0 else [var] if p == 1 else [f"{var}^{p}"])
+        (coeffs[p], [] if p == 0 else ["lam"] if p == 1 else [f"lam^{p}"])
         for p in range(len(coeffs) - 1, -1, -1) if coeffs[p])

@@ -32,7 +32,7 @@ share a sign and cannot cancel, so the coefficient of z^a lam^b is a
 nonzero polynomial in the labels exactly when some cover reaches
 (a, b).  The generic support is thus the support of the permanent of
 the pencil's 0/1 pattern, which `flatbands.laurent.support_leibniz`
-expands.
+reads off the determinant expander run on unit, sign-free rows.
 
 Facial independence witnesses are exact too and need no labels.  Let S
 be the generic support, w = (w', 0) the normal of a vertical face, and
@@ -400,8 +400,7 @@ def newton_polytope_data(points: Iterable[Point]) -> NewtonPolytopeData:
 
 
 def facial_independence_witness(graph: PeriodicGraph, face: FaceDescriptor,
-                                support_points: AbstractSet[Point] | None = None
-                                ) -> int | None:
+                                support_points: AbstractSet[Point]) -> int | None:
     """Orbit whose potential the facial polynomial provably ignores.
 
     Potential p_v enters the pencil only at entry (v, v), so the terms of
@@ -413,20 +412,17 @@ def facial_independence_witness(graph: PeriodicGraph, face: FaceDescriptor,
     draws no labels and takes no determinant.  Returns the first such
     orbit index (0-based), or None when every potential reaches the face.
 
-    `face` is the caller's `face_of` descriptor on the set
-    `support_points`, which defaults to the exact `generic_support` of
-    the graph; it must be a proper vertical face of that set.  With two or more orbits the
-    argument needs that support: the min-plus permanent of the whole of
-    W is the least w.p over the generic support, and a face whose
-    minimum differs raises ValueError.  A one-orbit graph has no vertical
-    face in its generic support; there the cofactor is the empty
-    determinant 1, tested against the given face directly.
+    `face` is the caller's `face_of` descriptor on `support_points`, the
+    graph's `generic_support`, and must be a proper vertical face of it.
+    With two or more orbits the min-plus permanent of the whole of W is
+    the least w.p over that support, and a face whose minimum differs
+    raises ValueError.  A one-orbit graph has no vertical face in its
+    generic support; there the cofactor is the empty determinant 1,
+    tested against the given face directly.
     """
     w = face.normal.components
     if len(w) != graph.dimension + 1 or w[-1] != 0:
         raise ValueError("weight vector must have a zero lam component")
-    if support_points is None:
-        support_points = generic_support(graph)
     members = face.members
     if len(members) == len(support_points):
         raise ValueError("weight vector identifies the whole polytope, not a proper face")
@@ -467,7 +463,7 @@ def _face_weights(graph: PeriodicGraph, normal: Sequence[int]) -> list[list[tupl
 def _minplus_permanent(rows: list[list[tuple[int, int]]], mask: int) -> int | None:
     """Least total weight of a matching of `rows` onto the columns in `mask`.
 
-    The row expansion of `flatbands.laurent.det_leibniz`, memoized on
+    The row expansion of `flatbands.laurent.det_packed`, memoized on
     column bitmasks, with min and + on ints in place of the sums and
     products of coefficients.  None marks a minor with no matching.
     """

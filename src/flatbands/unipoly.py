@@ -47,10 +47,6 @@ def scale(p: Coeffs, factor) -> Coeffs:
     return normalize([c * Fraction(factor) for c in p])
 
 
-def sub(p: Coeffs, q: Coeffs) -> Coeffs:
-    return add(p, scale(q, -1))
-
-
 def mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ()
@@ -90,21 +86,6 @@ def divmod_exact(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
             for i, c in enumerate(q):
                 rem[shift + i] -= factor * c
     return normalize(quot), normalize(rem[: len(q) - 1])
-
-
-def synthetic_divide(p: Coeffs, root) -> tuple[Coeffs, Fraction]:
-    """Divide by (x - root); returns (quotient, remainder value)."""
-    root = Fraction(root)
-    if not p:
-        return (), Fraction(0)
-    out: list[Fraction] = []
-    carry = Fraction(0)
-    for c in reversed(p):
-        carry = carry * root + c
-        out.append(carry)
-    remainder = out.pop()
-    out.reverse()
-    return normalize(out), remainder
 
 
 def primitive_part(p: Sequence) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flatbands import cli, laurent, unipoly
+from flatbands import cli, laurent, polytope, unipoly
 from flatbands.bands import MAX_GRID_POINTS
 from flatbands.floquet import FloquetMatrix
 from flatbands.laurent import LaurentMatrix, LaurentPoly, format_unipoly
@@ -334,6 +334,20 @@ class TestBands:
         assert report["numeric_flat_bands"] == [1]
         assert report["exact_crosscheck"][0]["consistent"] is True
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_rejects_a_bad_tolerance_before_reading_the_file(self, capsys, monkeypatch,
+                                                             lieb_json_path, tmp_path,
+                                                             tol, exists):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no grid may be sampled")
+
+        monkeypatch.setattr(cli, "sample_bands", refuse)
+        path = lieb_json_path if exists else str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, "--json", "bands", path, f"--tol={tol}")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == "input error: --tol must be a positive finite number\n"
+
     def test_entries_beyond_the_float_range_are_an_input_error(self, capsys, tmp_path):
         # every weight is a float, but w + w z1 at z1 = 1 is not
         document = json.loads(json.dumps(LIEB_DOCUMENT))
@@ -574,7 +588,8 @@ class TestExactWorkPerCommand:
     ])
     def test_exact_commands_make_one_laurent_poly_per_dispersion(
             self, capsys, monkeypatch, lieb_json_path, argv):
-        counts = {"matrices": 0, "polys": 0, "dispersions": 0, "floquet": 0, "decoded": 0}
+        counts = {"matrices": 0, "polys": 0, "dispersions": 0, "permanents": 0,
+                  "floquet": 0, "decoded": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -592,13 +607,19 @@ class TestExactWorkPerCommand:
         monkeypatch.setattr(FloquetMatrix, "__init__",
                             counting("floquet", FloquetMatrix.__init__))
         monkeypatch.setattr(laurent, "det_leibniz", counting("decoded", laurent.det_leibniz))
+        monkeypatch.setattr(polytope, "support_leibniz",
+                            counting("permanents", polytope.support_leibniz))
         argv = [lieb_json_path if a == "LIEB" else a for a in argv]
         code, _, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         # the decisions stay in integers: each labeling is one integer
         # determinant, with no Floquet matrix and no Laurent polynomial
-        # (4 trials of generic; 5 graphs of 5 trials for verify-theorem)
-        assert counts["dispersions"] == (4 if "generic" in argv else 25)
+        # (4 trials of generic; 5 graphs of 5 trials for verify-theorem).
+        # The generic support of each verify-theorem graph is one more run
+        # of the same expander, as the permanent of the pattern.
+        permanents = 0 if "generic" in argv else 5
+        assert counts["permanents"] == permanents
+        assert counts["dispersions"] == (4 if "generic" in argv else 25) + permanents
         assert counts["matrices"] == counts["polys"] == 0
         assert counts["floquet"] == counts["decoded"] == 0
 

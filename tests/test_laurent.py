@@ -1,5 +1,6 @@
 """Laurent polynomial ring, facial restriction, and symbolic determinants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from flatbands.laurent import (
     determinant,
     facial_polynomial,
     format_poly,
+    pack_rows,
+    support_leibniz,
 )
 
 
@@ -207,6 +210,51 @@ def sparse_matrices(draw) -> LaurentMatrix:
 @settings(max_examples=80, deadline=None)
 def test_integer_leibniz_matches_bareiss(m):
     assert det_leibniz(m) == det_bareiss(m)
+
+
+@st.composite
+def triple_rows(draw) -> tuple[int, list]:
+    """(d, rows) for `pack_rows`: n <= 5, d <= 2, 0-3 terms per entry, coefficients +-1..3."""
+    n = draw(st.integers(1, 5))
+    dimension = draw(st.integers(1, 2))
+    key = st.tuples(*([st.integers(-2, 2)] * dimension), st.integers(0, 2))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    rows = []
+    for _ in range(n):
+        row = []
+        for col in range(n):
+            for exponent in draw(st.lists(key, unique=True, max_size=3)):
+                row.append((col, exponent, draw(coeff)))
+        rows.append(row)
+    return dimension, rows
+
+
+def _permanent_support(rows):
+    """Brute force: the key sums over every permutation and every term choice per entry."""
+    n = len(rows)
+    keys = [[[key for c, key, _ in row if c == col] for col in range(n)] for row in rows]
+    support = set()
+    for sigma in itertools.permutations(range(n)):
+        for picks in itertools.product(*[keys[i][sigma[i]] for i in range(n)]):
+            support.add(tuple(map(sum, zip(*picks))))
+    return support
+
+
+@given(case=triple_rows())
+@settings(max_examples=150, deadline=None)
+def test_support_leibniz_is_the_permanent_support(case):
+    dimension, rows = case
+    pencil = pack_rows(dimension, rows)
+    support = support_leibniz(pencil)
+    assert support == _permanent_support(rows)
+    assert determinant(pencil).support() <= support
+
+
+def test_permanent_support_survives_a_vanishing_determinant():
+    # every entry 1: the determinant cancels to 0, the permanent does not
+    rows = [[(0, (0, 0), 1), (1, (0, 0), 1)], [(0, (0, 0), 1), (1, (0, 0), 1)]]
+    assert determinant(pack_rows(1, rows)).is_zero
+    assert support_leibniz(pack_rows(1, rows)) == {(0, 0)}
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -185,9 +185,9 @@ class TestFacialIndependenceWitness:
             assert witness == expected
 
     def test_rejects_nonzero_lam_weight(self, lieb_graph):
+        pts = generic_support(lieb_graph)
         with pytest.raises(ValueError):
-            facial_independence_witness(lieb_graph,
-                                        face_of(generic_support(lieb_graph), (1, 0, 1)))
+            facial_independence_witness(lieb_graph, face_of(pts, (1, 0, 1)), support_points=pts)
 
     def test_rejects_whole_polytope(self, lieb_graph):
         pts = generic_support(lieb_graph)

@@ -22,7 +22,6 @@ def test_arithmetic():
     p = unipoly.normalize([1, 1])       # 1 + x
     q = unipoly.normalize([-1, 1])      # -1 + x
     assert unipoly.add(p, q) == (F(0), F(2))
-    assert unipoly.sub(p, p) == ()
     assert unipoly.mul(p, q) == (F(-1), F(0), F(1))
     assert unipoly.mul(p, ()) == ()
     assert unipoly.evaluate((F(-1), F(0), F(1)), 3) == 8
@@ -47,15 +46,6 @@ def test_divmod_exact():
     assert rem == (F(1), F(1))
     with pytest.raises(ZeroDivisionError):
         unipoly.divmod_exact(p, ())
-
-
-def test_synthetic_divide():
-    p = unipoly.normalize([-6, 11, -6, 1])  # (x-1)(x-2)(x-3)
-    quot, rem = unipoly.synthetic_divide(p, 2)
-    assert rem == 0
-    assert quot == (F(3), F(-4), F(1))
-    _, rem = unipoly.synthetic_divide(p, 5)
-    assert rem == unipoly.evaluate(p, 5)
 
 
 def test_gcd_frozen_cases():
@@ -117,14 +107,6 @@ def test_factor_rejects_zero():
 
 coeff = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 poly = st.lists(coeff, max_size=5).map(unipoly.normalize)
-
-
-@given(p=poly, root=coeff)
-@settings(max_examples=80, deadline=None)
-def test_synthetic_divide_reconstructs(p, root):
-    quot, rem = unipoly.synthetic_divide(p, root)
-    rebuilt = unipoly.add(unipoly.mul(quot, (-root, F(1))), (rem,) if rem else ())
-    assert rebuilt == p
 
 
 @given(p=poly, q=poly)
