@@ -13,8 +13,8 @@ from .flatband import (FlatBandReport, GenericFlatBandDecision, InheritanceResul
                        IrreducibleFactor, flat_bands, flat_bands_of,
                        generic_flat_band_decision, inheritance_check,
                        vertical_segment_face_witness)
-from .floquet import (FloquetMatrix, build_floquet, dispersion_polynomial,
-                      induced_dispersion, induced_operator)
+from .floquet import (FloquetMatrix, dispersion_polynomial, induced_dispersion,
+                      induced_operator)
 from .graph import (EdgeClass, Labeling, PeriodicGraph, QuotientGraph,
                     ShiftAssignment, canonicalize_edge, components,
                     find_support_zero_component, has_support_zero_domain,
@@ -40,7 +40,7 @@ __all__ = [
     "GenericFlatBandDecision", "GraphFormatError",
     "GraphSpec", "InheritanceResult", "IrreducibleFactor", "Labeling",
     "LaurentMatrix", "LaurentPoly", "NewtonPolytopeData", "PeriodicGraph",
-    "QuotientGraph", "ShiftAssignment", "WeightVector", "build_floquet",
+    "QuotientGraph", "ShiftAssignment", "WeightVector",
     "canonicalize_edge", "components", "cut_edge_certificate", "det_bareiss",
     "det_leibniz", "determinant", "dispersion_polynomial", "evaluate_z",
     "extreme_points", "face_of", "facial_independence_witness", "facial_polynomial",

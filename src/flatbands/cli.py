@@ -26,7 +26,8 @@ from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
 from .flatband import (FlatBandReport, InvariantError, flat_bands,
                        generic_flat_band_decision)
 from .floquet import FloquetMatrix, dispersion_polynomial
-from .graph import (Labeling, find_support_zero_component, has_support_zero_domain)
+from .graph import (Labeling, PeriodicGraph, find_support_zero_component,
+                    has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, _rational_out)
 from .laurent import LaurentPoly, format_poly, format_unipoly
@@ -153,6 +154,11 @@ def resolve_labeling(spec: GraphSpec, mode: str, seed: int, tame: bool = False) 
     return Labeling(spec.graph, potentials, weights)
 
 
+def _full_ladder(graph: PeriodicGraph) -> set[tuple[int, ...]]:
+    """The support of a refittable pencil: (0, b) for b = 0..n."""
+    return {(0,) * graph.dimension + (b,) for b in range(graph.num_orbits + 1)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -219,8 +225,7 @@ def cmd_polytope(args) -> int:
         "vertical_segment": vertical,
     }
     if vertical:
-        ladder = {(0,) * graph.dimension + (b,) for b in range(graph.num_orbits + 1)}
-        document["vertical_segment_is_full_ladder"] = support == ladder
+        document["vertical_segment_is_full_ladder"] = support == _full_ladder(graph)
         document["faces"] = []
         document["notice"] = "support is a vertical segment; no proper vertical faces"
     elif graph.dimension > 2:
@@ -278,15 +283,14 @@ def cmd_verify_theorem(args) -> int:
         decision = generic_flat_band_decision(
             graph, trials=args.trials, seed=f"{args.seed}/alg/{t}"
         )
-        serialized = graph_to_document(graph)
         if not decision.consistent:
-            inconsistent.append({"trial": t, "graph": serialized})
+            inconsistent.append({"trial": t, "graph": graph_to_document(graph)})
         elif combinatorial != decision.has_flat_band:
             disagreements.append({
                 "trial": t,
                 "support_zero_component": combinatorial,
                 "generic_flat_band": decision.has_flat_band,
-                "graph": serialized,
+                "graph": graph_to_document(graph),
             })
         elif decision.has_flat_band:
             both_flat += 1
@@ -301,17 +305,12 @@ def cmd_verify_theorem(args) -> int:
                 "trial": t,
                 "vertical_segment": segment,
                 "support_zero_domain": whole_domain,
-                "graph": serialized,
+                "graph": graph_to_document(graph),
             })
         else:
             segment_agree += 1
-            if segment:
-                ladder = {
-                    (0,) * graph.dimension + (b,)
-                    for b in range(graph.num_orbits + 1)
-                }
-                if support != ladder:
-                    ladder_failures.append({"trial": t, "graph": serialized})
+            if segment and support != _full_ladder(graph):
+                ladder_failures.append({"trial": t, "graph": graph_to_document(graph)})
 
     if disagreements or ladder_failures:
         exit_code = EXIT_FLAT_BAND
@@ -499,16 +498,11 @@ def main(argv=None) -> int:
     }[args.subcommand]
     try:
         return handler(args)
-    except GraphFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # GraphFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (ArithmeticError, AssertionError) as exc:

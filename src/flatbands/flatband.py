@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import laurent, unipoly
 from .floquet import PencilTemplate, dispersion_polynomial, induced_dispersion
-from .graph import Labeling, PeriodicGraph
+from .graph import Labeling, PeriodicGraph, has_support_zero_domain
 from .laurent import LaurentPoly, PackedPencil, WeightVector
 from .polytope import projected_face_normals, face_of
 from .sampling import random_labeling, rng_for
@@ -295,8 +295,6 @@ def vertical_segment_face_witness(graph: PeriodicGraph, labeling: Labeling
     lam-slice of the dispersion, so the report's root check, which
     covers every slice, covers p too; a failed check raises.
     """
-    from .graph import has_support_zero_domain
-
     dispersion = dispersion_polynomial(graph, labeling)
     report = flat_bands(dispersion)
     if not report.has_flat_band:

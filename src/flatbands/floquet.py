@@ -14,11 +14,12 @@ label).  Distinct classes give distinct exponents within an entry, so
 no term is ever summed.  `pack` fills the template with one labeling in
 integers, each row over the lcm of its label denominators, ready for
 `laurent.det_packed`; the exact decisions in `flatbands.flatband` fill
-one template per graph for every labeling they draw.  A `FloquetMatrix`
-packs its template on the first `dispersion()` call and builds the
-Laurent matrices `matrix` and `char_matrix()` only when something reads
-them.  `pattern_pencil` fills the template with every label set to 1,
-the pencil's 0/1 pattern.
+one template per graph for every labeling they draw.  The packed keys
+alone are the pencil's 0/1 pattern, whose permanent
+`laurent.support_leibniz` expands without filling anything.  A
+`FloquetMatrix` packs its template on the first `dispersion()` call and
+builds the Laurent matrix `matrix` only when something reads it; the
+pencil is ``matrix.minus_lam_identity()``.
 """
 
 from __future__ import annotations
@@ -64,14 +65,12 @@ class PencilTemplate:
         self.rows = rows
         self.packed = PackedTemplate(d, rows)
 
-    def _values(self, labeling: Labeling | None) -> list:
-        """Every label's value in label order; potentials and weights 1 without a labeling."""
-        if labeling is None:
-            return [1] * (self.graph.num_orbits + len(self.edges)) + [_MINUS_ONE]
+    def _values(self, labeling: Labeling) -> list:
+        """Every label's value in label order."""
         weights = labeling.weights
         return [*labeling.potentials, *[weights[e] for e in self.edges], _MINUS_ONE]
 
-    def pack(self, labeling: Labeling | None = None) -> PackedPencil:
+    def pack(self, labeling: Labeling) -> PackedPencil:
         """The pencil filled with `labeling`, packed for `laurent.det_packed`.
 
         Each row holds integer numerators over the lcm of its nonzero
@@ -79,7 +78,7 @@ class PencilTemplate:
         """
         return self.packed.fill(self._values(labeling))
 
-    def triples(self, labeling: Labeling | None = None
+    def triples(self, labeling: Labeling
                 ) -> list[list[tuple[int, Exponent, Fraction | int]]]:
         """Per-row (column, exponent, coefficient) triples; zero labels left out."""
         values = self._values(labeling)
@@ -112,24 +111,16 @@ class FloquetMatrix:
     def matrix(self) -> LaurentMatrix:
         """L(z) as a Laurent matrix, built on first read."""
         if self._matrix is None:
-            object.__setattr__(self, "_matrix", self._laurent_matrix(with_lam=False))
+            d = self.graph.dimension
+            entries = []
+            for row in self._template.triples(self.labeling):
+                terms: list[dict] = [{} for _ in range(self.size)]
+                for col, key, coeff in row:
+                    if key[-1] == 0:
+                        terms[col][key] = coeff
+                entries.append([LaurentPoly._from_terms(d, t) for t in terms])
+            object.__setattr__(self, "_matrix", LaurentMatrix(entries))
         return self._matrix
-
-    def char_matrix(self) -> LaurentMatrix:
-        """The pencil L(z) - lam * I as one Laurent matrix."""
-        return self._laurent_matrix(with_lam=True)
-
-    def _laurent_matrix(self, with_lam: bool) -> LaurentMatrix:
-        d = self.graph.dimension
-        n = self.size
-        entries = []
-        for row in self._template.triples(self.labeling):
-            terms: list[dict] = [{} for _ in range(n)]
-            for col, key, coeff in row:
-                if with_lam or key[-1] == 0:
-                    terms[col][key] = coeff
-            entries.append([LaurentPoly._from_terms(d, t) for t in terms])
-        return LaurentMatrix(entries)
 
     def dispersion(self) -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.
@@ -152,15 +143,6 @@ class FloquetMatrix:
         return poly
 
 
-def pattern_pencil(graph: PeriodicGraph) -> PackedPencil:
-    """The packed pencil of `graph` with every potential and weight set to 1."""
-    return PencilTemplate(graph).pack()
-
-
-def build_floquet(graph: PeriodicGraph, labeling: Labeling) -> FloquetMatrix:
-    return FloquetMatrix(graph, labeling)
-
-
 def dispersion_polynomial(graph: PeriodicGraph, labeling: Labeling) -> LaurentPoly:
     return FloquetMatrix(graph, labeling).dispersion()
 
@@ -168,6 +150,8 @@ def dispersion_polynomial(graph: PeriodicGraph, labeling: Labeling) -> LaurentPo
 def induced_operator(graph: PeriodicGraph, labeling: Labeling,
                      subset: Iterable[int]) -> FloquetMatrix:
     """Floquet matrix of the labeled subgraph induced on an orbit subset."""
+    if labeling.graph != graph:
+        raise ValueError("labeling belongs to a different graph")
     sub, sub_labeling, _ = labeling.restrict(subset)
     return FloquetMatrix(sub, sub_labeling)
 

@@ -20,11 +20,11 @@ numerator} over the pencil's denominator; the exact decisions in
 decodes the result to a `LaurentPoly`, dividing the denominator back
 out once per term; `determinant` always runs it.  `det_bareiss`
 (fraction-free elimination over the Laurent ring) is the independent
-test oracle.  `support_leibniz` runs `det_packed` too, on the same keys
-with every coefficient 1 and no sign flip: that expands the permanent of
-the pencil's pattern, whose keys are its support.  Both decode packed
-keys through `_unpack`.  `format_poly` and
-`format_unipoly` share one term joiner.
+test oracle.  `support_leibniz` runs `det_packed` too, straight on a
+template's keys with every coefficient 1 and no sign flip, so it reads
+no label: that expands the permanent of the template's 0/1 pattern,
+whose keys are its support.  Both decode packed keys through `_unpack`.
+`format_poly` and `format_unipoly` share one term joiner.
 """
 
 from __future__ import annotations
@@ -487,26 +487,28 @@ def det_packed(pencil: PackedPencil) -> dict[int, int]:
     return minor((1 << n) - 1)
 
 
-def support_leibniz(pencil: PackedPencil) -> frozenset[Exponent]:
-    """Support of the permanent of the pencil's pattern: every reachable exponent.
+def support_leibniz(template: PackedTemplate) -> frozenset[Exponent]:
+    """Support of the permanent of the template's pattern: every reachable exponent.
 
-    `det_packed` on the same keys with every coefficient 1 and no sign
-    flip expands the permanent; each output coefficient counts the cycle
-    covers that reach its key, so none cancels.  Its keys are exactly the
-    support of the determinant when no two cover terms with one exponent
-    can cancel; see `flatbands.polytope.generic_support` for why that
-    holds for a pencil whose every label is an indeterminate.
+    Each term of the template becomes coefficient 1, with the negated
+    terms equal to the terms, and `det_packed` on those unit, sign-free
+    rows expands the permanent; each output coefficient counts the cycle
+    covers that reach its key, so none cancels.  No label is read.  Its
+    keys are exactly the support of the determinant when no two cover
+    terms with one exponent can cancel; see
+    `flatbands.polytope.generic_support` for why that holds for a pencil
+    whose every label is an indeterminate.
     """
     rows = []
-    for row in pencil.rows:
+    for _, entries in template.rows:
         unit = []
-        for bit, terms, _ in row:
+        for bit, terms in entries:
             ones = tuple([(key, 1) for key, _ in terms])
             unit.append((bit, ones, ones))
         rows.append(unit)
-    unit_pencil = PackedPencil(pencil.size, pencil.dimension, pencil.base, rows, 1)
-    return frozenset(_unpack(packed, pencil.base, pencil.dimension)
-                     for packed in det_packed(unit_pencil))
+    pencil = PackedPencil(template.size, template.dimension, template.base, rows, 1)
+    return frozenset(_unpack(packed, template.base, template.dimension)
+                     for packed in det_packed(pencil))
 
 
 def _unpack(packed: int, base: int, dimension: int) -> Exponent:

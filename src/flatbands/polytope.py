@@ -31,8 +31,9 @@ monomial.  Terms with one label monomial, one z-power and one lam power
 share a sign and cannot cancel, so the coefficient of z^a lam^b is a
 nonzero polynomial in the labels exactly when some cover reaches
 (a, b).  The generic support is thus the support of the permanent of
-the pencil's 0/1 pattern, which `flatbands.laurent.support_leibniz`
-reads off the determinant expander run on unit, sign-free rows.
+the pencil's 0/1 pattern.  `flatbands.laurent.support_leibniz` reads it
+off the packed keys of the graph's `floquet.PencilTemplate`, running the
+determinant expander on unit, sign-free rows; no label is filled in.
 
 Facial independence witnesses are exact too and need no labels.  Let S
 be the generic support, w = (w', 0) the normal of a vertical face, and
@@ -61,7 +62,7 @@ from fractions import Fraction
 from operator import mul
 from typing import AbstractSet, Iterable, Sequence
 
-from .floquet import FloquetMatrix, pattern_pencil
+from .floquet import FloquetMatrix, PencilTemplate
 from .graph import Labeling, PeriodicGraph
 from .laurent import LaurentPoly, WeightVector, support_leibniz
 
@@ -103,7 +104,7 @@ def generic_support(graph: PeriodicGraph) -> frozenset[Point]:
     diagonal.  It contains the support of every labeled dispersion, and
     equals it for labels off a proper algebraic subset.
     """
-    return support_leibniz(pattern_pencil(graph))
+    return support_leibniz(PencilTemplate(graph).packed)
 
 
 def is_vertical_segment(points: Iterable[Point]) -> bool:
@@ -293,9 +294,12 @@ def projected_face_normals(z_parts: set[tuple[int, ...]]) -> list[tuple[int, ...
 
     For an interval these are the two axis directions; for a polygon the
     edge normals plus, for each vertex, the sum of its two edge normals
-    (a vector in the open normal cone of that vertex).
+    (a vector in the open normal cone of that vertex).  Dimensions above
+    2 raise ValueError.
     """
     dim = len(next(iter(z_parts)))
+    if dim > 2:
+        raise ValueError(f"face enumeration supports d <= 2, got d = {dim}")
     if dim == 1:
         values = {z[0] for z in z_parts}
         if len(values) == 1:
@@ -495,7 +499,7 @@ def permutation_product(matrix: FloquetMatrix, sigma: Sequence[int]) -> LaurentP
     perm = list(sigma)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    pencil = matrix.char_matrix()
+    pencil = matrix.matrix.minus_lam_identity()
     acc = LaurentPoly.constant(matrix.graph.dimension, 1)
     for i in range(n):
         acc = acc * pencil[i][perm[i]]

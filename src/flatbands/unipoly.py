@@ -32,10 +32,6 @@ def degree(poly: Coeffs) -> int:
     return len(poly) - 1
 
 
-def is_zero(poly: Coeffs) -> bool:
-    return not poly
-
-
 def add(p: Coeffs, q: Coeffs) -> Coeffs:
     n = max(len(p), len(q))
     return normalize(

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import flatbands
 from flatbands import cli, laurent, polytope, unipoly
 from flatbands.bands import MAX_GRID_POINTS
 from flatbands.floquet import FloquetMatrix
-from flatbands.laurent import LaurentMatrix, LaurentPoly, format_unipoly
+from flatbands.laurent import LaurentMatrix, LaurentPoly, PackedTemplate, format_unipoly
 from flatbands.cli import (
     EXIT_FLAT_BAND,
     EXIT_INPUT_ERROR,
@@ -623,6 +624,21 @@ class TestExactWorkPerCommand:
         assert counts["matrices"] == counts["polys"] == 0
         assert counts["floquet"] == counts["decoded"] == 0
 
+    def test_polytope_fills_one_template(self, capsys, monkeypatch, lieb_json_path):
+        # the generic support reads the template's keys alone; only the
+        # representative labeling of the facial polynomials fills one
+        fills = []
+        fill = PackedTemplate.fill
+
+        def counted(self, values):
+            fills.append(len(values))
+            return fill(self, values)
+
+        monkeypatch.setattr(PackedTemplate, "fill", counted)
+        code, _, _ = run_cli(capsys, "polytope", lieb_json_path)
+        assert code == EXIT_OK
+        assert fills == [3 + 4 + 1]
+
     def test_bands_builds_one_floquet_matrix(self, capsys, monkeypatch, lieb_json_path):
         builds = []
         init = FloquetMatrix.__init__
@@ -646,3 +662,8 @@ def test_module_entry_point(lieb_json_path):
     )
     assert proc.returncode == EXIT_FLAT_BAND
     assert json.loads(proc.stdout)["command"] == "analyze"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in flatbands.__all__ if not hasattr(flatbands, name)]
+    assert missing == []

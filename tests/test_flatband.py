@@ -1,6 +1,7 @@
 """Flat-band extraction, generic decisions, inheritance, face witnesses."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from flatbands.flatband import (
 )
 from flatbands.floquet import FloquetMatrix, dispersion_polynomial
 from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
+from flatbands.graphio import load_graph_file
 from flatbands.laurent import LaurentPoly, det_bareiss, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
@@ -249,7 +251,7 @@ def test_integer_decision_matches_the_bareiss_oracle(case):
     labeling, block = case
     graph = labeling.graph
     report = flat_bands_of(graph, labeling)
-    oracle = flat_bands(det_bareiss(FloquetMatrix(graph, labeling).char_matrix()))
+    oracle = flat_bands(det_bareiss(FloquetMatrix(graph, labeling).matrix.minus_lam_identity()))
     assert report.flatband_poly == oracle.flatband_poly
     assert report.flat_band_count >= block
     # each z-part's slice, decoded from the packed keys, is the oracle's
@@ -353,6 +355,14 @@ class TestVerticalSegmentFaceWitness:
         lab = Labeling(g, [0], {(0, 0, (1,)): 1})
         with pytest.raises(ValueError):
             vertical_segment_face_witness(g, lab)
+
+    def test_refuses_three_dimensions(self):
+        # the 3-D Lieb lattice has a flat band and no support-zero domain,
+        # but its faces lie past the d <= 2 enumeration
+        path = Path(__file__).resolve().parent.parent / "sample_graphs" / "lieb3d.json"
+        spec = load_graph_file(str(path))
+        with pytest.raises(ValueError, match="supports d <= 2, got d = 3"):
+            vertical_segment_face_witness(spec.graph, spec.labeling())
 
     def test_rejects_support_zero_domain(self):
         g = PeriodicGraph(1, 2, [(0, 1, (0,))])

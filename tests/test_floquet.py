@@ -9,12 +9,12 @@ entry-by-entry Laurent build, is the oracle of the packed build.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flatbands import floquet
 from flatbands.floquet import (
     FloquetMatrix,
-    build_floquet,
     dispersion_polynomial,
     induced_dispersion,
     induced_operator,
@@ -92,7 +92,7 @@ def test_single_orbit_chain():
 def test_self_class_lands_on_diagonal():
     g = PeriodicGraph(2, 2, [(0, 0, (1, 1)), (0, 1, (0, 0))])
     lab = Labeling(g, [0, 0], {(0, 0, (1, 1)): 3, (0, 1, (0, 0)): 1})
-    m = build_floquet(g, lab).matrix
+    m = FloquetMatrix(g, lab).matrix
     assert m[0][0] == LaurentPoly(2, {(1, 1, 0): 3, (-1, -1, 0): 3})
     assert m[0][1] == LaurentPoly.constant(2, 1)
     assert m[1][1].is_zero
@@ -127,6 +127,15 @@ def test_induced_operator_and_dispersion(lieb_graph, lieb_labeling):
     assert format_poly(d) == "-z2^-1 - 2 - z2 + lam^2"
 
 
+def test_induced_operator_refuses_another_graphs_labeling():
+    g1 = PeriodicGraph(1, 2, [(0, 1, (0,)), (0, 1, (1,))])
+    g2 = PeriodicGraph(1, 2, [(0, 1, (0,))])
+    lab2 = Labeling(g2, [1, 2], {(0, 1, (0,)): 3})
+    for build in (induced_operator, induced_dispersion):
+        with pytest.raises(ValueError, match="different graph"):
+            build(g1, lab2, [0, 1])
+
+
 def test_induced_dispersion_multiplies_over_split(lieb_graph, lieb_labeling):
     left = induced_dispersion(lieb_graph, lieb_labeling, [0])
     right = induced_dispersion(lieb_graph, lieb_labeling, [2])
@@ -136,7 +145,7 @@ def test_induced_dispersion_multiplies_over_split(lieb_graph, lieb_labeling):
 
 def test_dispersion_method_choice(lieb_graph, lieb_labeling):
     matrix = FloquetMatrix(lieb_graph, lieb_labeling)
-    assert matrix.dispersion() == det_bareiss(matrix.char_matrix())
+    assert matrix.dispersion() == det_bareiss(matrix.matrix.minus_lam_identity())
 
 
 def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> LaurentMatrix:
@@ -198,7 +207,6 @@ def test_packed_build_matches_the_laurent_oracle(labeling):
     oracle = _build_matrix(graph, labeling)
     matrix = FloquetMatrix(graph, labeling)
     assert matrix.matrix == oracle
-    assert matrix.char_matrix() == oracle.minus_lam_identity()
     pencil = oracle.minus_lam_identity().entries
     assert matrix.dispersion() == det_bareiss(LaurentMatrix(pencil))
 

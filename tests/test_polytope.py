@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from flatbands import floquet, laurent, polytope, sampling
 from flatbands.floquet import FloquetMatrix, dispersion_polynomial
 from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
-from flatbands.laurent import determinant, pack_rows, support_leibniz
+from flatbands.laurent import PackedTemplate, determinant, pack_rows, support_leibniz
 from flatbands.polytope import (
     _hull_cycle_2d,
     extreme_points,
@@ -338,7 +338,10 @@ def test_witness_draws_no_labels_and_takes_no_determinant(monkeypatch, lieb_grap
 
 
 def _cofactor_rows(rows, v):
-    """Pencil triples with row and column v deleted; later columns shift down."""
+    """Pencil triples with row and column v deleted; later columns shift down.
+
+    The third member of each triple (a coefficient or a label) is kept as it is.
+    """
     return [[(col - (col > v), key, coeff) for col, key, coeff in row if col != v]
             for r, row in enumerate(rows) if r != v]
 
@@ -365,9 +368,10 @@ def _cofactor_witness(graph, w, support_points):
 
 def _set_witness(graph, members):
     """Oracle: the first orbit whose cofactor pattern support misses the face."""
-    rows = floquet.PencilTemplate(graph).triples()
+    # the unfilled rows: a labeled fill would drop every zero potential's term
+    rows = floquet.PencilTemplate(graph).rows
     for orbit in range(graph.num_orbits):
-        support = support_leibniz(pack_rows(graph.dimension, _cofactor_rows(rows, orbit)))
+        support = support_leibniz(PackedTemplate(graph.dimension, _cofactor_rows(rows, orbit)))
         if members.isdisjoint(support):
             return orbit
     return None
