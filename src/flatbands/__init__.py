@@ -22,8 +22,8 @@ from .graph import (EdgeClass, Labeling, PeriodicGraph, QuotientGraph,
                     support_of_subset)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, load_graph_text, parse_graph_spec)
-from .laurent import (LaurentMatrix, LaurentPoly, WeightVector, det_bareiss,
-                      det_leibniz, determinant, facial_polynomial, format_poly)
+from .laurent import (LaurentMatrix, LaurentPoly, det_bareiss, det_leibniz,
+                      determinant, facial_polynomial, format_poly)
 from .polytope import (FaceDescriptor, NewtonPolytopeData,
                        extreme_points, face_of, facial_independence_witness,
                        generic_support, hulls_equal, in_convex_hull,
@@ -40,7 +40,7 @@ __all__ = [
     "GenericFlatBandDecision", "GraphFormatError",
     "GraphSpec", "InheritanceResult", "IrreducibleFactor", "Labeling",
     "LaurentMatrix", "LaurentPoly", "NewtonPolytopeData", "PeriodicGraph",
-    "QuotientGraph", "ShiftAssignment", "WeightVector",
+    "QuotientGraph", "ShiftAssignment",
     "canonicalize_edge", "components", "cut_edge_certificate", "det_bareiss",
     "det_leibniz", "determinant", "dispersion_polynomial", "evaluate_z",
     "extreme_points", "face_of", "facial_independence_witness", "facial_polynomial",

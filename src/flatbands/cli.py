@@ -134,9 +134,16 @@ def resolve_labeling(spec: GraphSpec, mode: str, seed: int, tame: bool = False) 
 
     ``given`` requires a fully labeled file; ``random`` ignores file
     labels entirely; ``auto`` keeps the given ones and fills the rest.
-    Numeric commands pass ``tame`` to keep random labels in a range where
+    A zero weight kept from the file is an input error.  Numeric
+    commands pass ``tame`` to keep random labels in a range where
     dispersive bands stay visibly curved.
     """
+    if mode != "random":
+        for edge in spec.graph.sorted_edges():
+            if spec.weights.get(edge) == 0:
+                raise GraphFormatError(
+                    f"edge {_edge_label(spec.orbit_ids, edge)} has weight 0; "
+                    "a zero weight deletes the edge, so leave it out of the file")
     if mode == "given":
         return spec.labeling()
     rng = rng_for(seed, "labels")
@@ -242,9 +249,9 @@ def cmd_polytope(args) -> int:
                 {key: rep_dispersion.coefficient(key) for key in face.members},
             )
             faces.append({
-                "normal": list(face.normal.components),
+                "normal": list(face.normal),
                 "min_value": face.min_value,
-                "members": [list(p) for p in face.sorted_members()],
+                "members": [list(p) for p in sorted(face.members)],
                 "facial_polynomial": format_poly(facial),
                 "independence_witness": (
                     spec.orbit_ids[witness] if witness is not None else None

@@ -29,8 +29,8 @@ from typing import Sequence
 from . import laurent, unipoly
 from .floquet import PencilTemplate, dispersion_polynomial, induced_dispersion
 from .graph import Labeling, PeriodicGraph, has_support_zero_domain
-from .laurent import LaurentPoly, PackedPencil, WeightVector
-from .polytope import projected_face_normals, face_of
+from .laurent import LaurentPoly, PackedPencil, facial_polynomial
+from .polytope import _lifted_faces
 from .sampling import random_labeling, rng_for
 
 
@@ -284,14 +284,15 @@ def inheritance_check(graph: PeriodicGraph, labeling: Labeling, orbit: int
 
 
 def vertical_segment_face_witness(graph: PeriodicGraph, labeling: Labeling
-                                  ) -> tuple[WeightVector, LaurentPoly] | None:
+                                  ) -> tuple[tuple[int, ...], LaurentPoly] | None:
     """Face of the dispersion support collapsing to one off-axis z-monomial.
 
     Preconditions: the labeling has a flat band and the graph has no
     support-zero fundamental domain (otherwise the question is empty or
     trivial).  Scans proper faces of the support through the z-projection
-    and returns the first whose members all share one nonzero z-part; on
-    such a face the facial polynomial reads z^a * p(lam).  p is one
+    (`polytope._lifted_faces`) and returns the normal and facial
+    polynomial of the first whose members all share one nonzero z-part;
+    on such a face the facial polynomial reads z^a * p(lam).  p is one
     lam-slice of the dispersion, so the report's root check, which
     covers every slice, covers p too; a failed check raises.
     """
@@ -302,21 +303,12 @@ def vertical_segment_face_witness(graph: PeriodicGraph, labeling: Labeling
     if has_support_zero_domain(graph):
         raise ValueError("graph has a support-zero fundamental domain")
 
-    support = dispersion.support()
-    z_parts = {p[:-1] for p in support}
     zero = (0,) * graph.dimension
-    candidates = sorted(projected_face_normals(z_parts))
-    for normal in candidates:
-        w = normal + (0,)
-        descriptor = face_of(support, w)
-        member_z = {p[:-1] for p in descriptor.members}
+    for face in _lifted_faces(list(dispersion.support())):
+        member_z = {p[:-1] for p in face.members}
         if len(member_z) != 1 or zero in member_z:
             continue
         if not all(report.verified):
             raise ArithmeticError("facial polynomial not divisible by every flat band")
-        facial = LaurentPoly(
-            dispersion.dimension,
-            {key: dispersion.coefficient(key) for key in descriptor.members},
-        )
-        return WeightVector(w), facial
+        return face.normal, facial_polynomial(dispersion, face.normal)
     return None

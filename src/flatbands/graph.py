@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .laurent import _coerce
+
 EdgeClass = tuple[int, int, tuple[int, ...]]
 
 
@@ -290,14 +292,15 @@ class Labeling:
 
     Weights are stored per canonical edge class; looking one up through
     either orientation returns the same value.  Zero weights amount to
-    deleting the edge and are rejected unless ``allow_zero`` is set.
+    deleting the edge and are rejected unless ``allow_zero`` is set;
+    float labels raise TypeError, as in `flatbands.laurent`.
     """
 
     __slots__ = ("graph", "potentials", "weights")
 
     def __init__(self, graph: PeriodicGraph, potentials: Sequence,
                  weights: Mapping[EdgeClass, object], allow_zero: bool = False):
-        pots = tuple(Fraction(p) for p in potentials)
+        pots = tuple(_coerce(p) for p in potentials)
         if len(pots) != graph.num_orbits:
             raise ValueError(
                 f"{len(pots)} potentials for {graph.num_orbits} orbits"
@@ -309,7 +312,7 @@ class Labeling:
                 raise ValueError(f"weight given for missing edge class {edge}")
             if edge in table:
                 raise ValueError(f"weight given twice for edge class {edge}")
-            table[edge] = Fraction(value)
+            table[edge] = _coerce(value)
         missing = graph.edge_classes - set(table)
         if missing:
             raise ValueError(f"no weight for edge classes {sorted(missing)}")

@@ -30,7 +30,6 @@ whose keys are its support.  Both decode packed keys through `_unpack`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -224,31 +223,7 @@ class LaurentPoly:
         return f"LaurentPoly(d={self.dimension}, {format_poly(self)})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Integer weight vector of length d+1; the last entry weights lam."""
-
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(int(c) for c in self.components))
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    @property
-    def lam_weight(self) -> int:
-        return self.components[-1]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.components)
-
-
-def facial_polynomial(poly: LaurentPoly, weights: Sequence[int] | WeightVector) -> LaurentPoly:
+def facial_polynomial(poly: LaurentPoly, weights: Sequence[int]) -> LaurentPoly:
     """Sub-sum of ``poly`` over the support points minimizing the weight.
 
     The zero weight vector returns ``poly`` itself (the whole polytope is

@@ -64,7 +64,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .floquet import FloquetMatrix, PencilTemplate
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentPoly, WeightVector, support_leibniz
+from .laurent import LaurentPoly, support_leibniz
 
 Point = tuple[int, ...]
 
@@ -73,12 +73,9 @@ Point = tuple[int, ...]
 class FaceDescriptor:
     """Proper face of a support hull: w·p = min_value on members."""
 
-    normal: WeightVector
+    normal: tuple[int, ...]
     min_value: int
     members: frozenset[Point]
-
-    def sorted_members(self) -> list[Point]:
-        return sorted(self.members)
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,18 @@ def generic_support(graph: PeriodicGraph) -> frozenset[Point]:
     return support_leibniz(PencilTemplate(graph).packed)
 
 
+def _common_length(points: Iterable[Sequence]) -> int:
+    """The length shared by every point of a nonempty set.
+
+    Points of mixed lengths raise ValueError naming the lengths, before
+    any hull or face computation reads a coordinate.
+    """
+    lengths = {len(p) for p in points}
+    if len(lengths) != 1:
+        raise ValueError(f"points have mixed lengths {sorted(lengths)}")
+    return lengths.pop()
+
+
 def is_vertical_segment(points: Iterable[Point]) -> bool:
     """True when every support point sits on the lam axis (zero z-part)."""
     pts = list(points)
@@ -130,6 +139,7 @@ def in_convex_hull(point: Sequence[int], points: Iterable[Point]) -> bool:
     pts = list(points)
     if not pts:
         return False
+    _common_length([point, *pts])
     rows = [[q[k] for q in pts] + [point[k]] for k in range(len(point))]
     rows.append([1] * (len(pts) + 1))
     for k, row in enumerate(rows):
@@ -232,6 +242,7 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
     pts = sorted(set(points))
     if not pts:
         return frozenset()
+    _common_length(pts)
     lows = [min(axis) for axis in zip(*pts)]
     span = max(max(axis) - low for axis, low in zip(zip(*pts), lows))
     powers = [(3 * span + 1) ** k for k in range(len(lows))]
@@ -333,7 +344,7 @@ def face_of(points: Iterable[Point], weights: Sequence[int]) -> FaceDescriptor:
     values = [sum(map(mul, w, p)) for p in pts]
     m = min(values)
     members = frozenset(p for p, v in zip(pts, values) if v == m)
-    return FaceDescriptor(normal=WeightVector(w), min_value=m, members=members)
+    return FaceDescriptor(normal=w, min_value=m, members=members)
 
 
 def _has_vertical_pair(members: Iterable[Point]) -> bool:
@@ -345,36 +356,41 @@ def _has_vertical_pair(members: Iterable[Point]) -> bool:
     return False
 
 
+def _lifted_faces(points: list[Point]) -> list[FaceDescriptor]:
+    """The face of conv(points) at (w', 0) for each projected normal w', in order.
+
+    The one scan of the z-projection's faces (d <= 2), read by both
+    `vertical_faces` and `flatband.vertical_segment_face_witness`.
+    """
+    z_parts = {p[:-1] for p in points}
+    return [face_of(points, w + (0,)) for w in sorted(projected_face_normals(z_parts))]
+
+
 def vertical_faces(points: Iterable[Point]) -> list[FaceDescriptor]:
     """Proper hull faces with momentum-only normals and a vertical pair.
 
     Faces are found by projecting out the lam coordinate, enumerating the
     proper faces of the projected hull, and lifting each normal w' to
-    (w', 0).  A face qualifies when two of its support points share the
-    z-part but differ in lam.  Qualifying faces must satisfy m < 0; a
-    violation means the input was not a dispersion support.
+    (w', 0); they come out in ascending normal order.  A face qualifies
+    when two of its support points share the z-part but differ in lam.
+    Qualifying faces must satisfy m < 0; a violation means the input was
+    not a dispersion support.
     """
     pts = list(set(points))
     if not pts:
         raise ValueError("empty support has no faces")
-    d = len(pts[0]) - 1
+    d = _common_length(pts) - 1
     if d > 2:
         raise ValueError(f"face enumeration supports d <= 2, got d = {d}")
     if is_vertical_segment(pts):
         raise ValueError("vertical-segment support has no proper vertical faces")
-    z_parts = {p[:-1] for p in pts}
-    faces = []
-    for w_proj in projected_face_normals(z_parts):
-        descriptor = face_of(pts, w_proj + (0,))
-        if not _has_vertical_pair(descriptor.members):
-            continue
-        if descriptor.min_value >= 0:
+    faces = [face for face in _lifted_faces(pts) if _has_vertical_pair(face.members)]
+    for face in faces:
+        if face.min_value >= 0:
             raise ValueError(
-                f"vertical face at {descriptor.normal.components} has minimum "
-                f"{descriptor.min_value} >= 0; not a dispersion support"
+                f"vertical face at {face.normal} has minimum "
+                f"{face.min_value} >= 0; not a dispersion support"
             )
-        faces.append(descriptor)
-    faces.sort(key=lambda f: f.normal.components)
     return faces
 
 
@@ -383,7 +399,7 @@ def newton_polytope_data(points: Iterable[Point]) -> NewtonPolytopeData:
     pts = frozenset(tuple(p) for p in points)
     if not pts:
         raise ValueError("empty support")
-    dimension = len(next(iter(pts)))
+    dimension = _common_length(pts)
     descriptors: tuple[FaceDescriptor, ...] | None
     if dimension - 1 > 2:
         descriptors = None
@@ -424,7 +440,7 @@ def facial_independence_witness(graph: PeriodicGraph, face: FaceDescriptor,
     generic support; there the cofactor is the empty determinant 1,
     tested against the given face directly.
     """
-    w = face.normal.components
+    w = face.normal
     if len(w) != graph.dimension + 1 or w[-1] != 0:
         raise ValueError("weight vector must have a zero lam component")
     members = face.members

@@ -187,7 +187,7 @@ def test_criterion_6_facial_independence_witnesses():
             witness = facial_independence_witness(graph, face, support_points=support)
             faces_checked += 1
             if witness is None:
-                failures.append((t, tuple(face.normal.components)))
+                failures.append((t, face.normal))
     verdict(6, "facial independence witnesses", not failures,
             f"witness found for {faces_checked - len(failures)}/{faces_checked} "
             f"vertical faces on {eligible} eligible graphs; failures {failures}")

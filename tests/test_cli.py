@@ -125,6 +125,21 @@ class TestAnalyze:
         assert code == EXIT_INPUT_ERROR
         assert "labels missing" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "bands"])
+    @pytest.mark.parametrize("mode", ["given", "auto"])
+    def test_zero_weight_in_the_file_names_the_edge(self, capsys, tmp_path, command, mode):
+        path = write_graph(tmp_path, "zero.json", {
+            "dimension": 1,
+            "orbits": [{"id": "A", "potential": 0}, {"id": "B", "potential": 0}],
+            "edges": [{"from": "A", "to": "B", "offset": [0], "weight": 0}],
+        })
+        code, _, err = run_cli(capsys, command, path, "--labels", mode)
+        assert code == EXIT_INPUT_ERROR
+        assert "A~B@[0]" in err and "allow_zero" not in err
+        # random labels ignore the file's weights
+        code, _, _ = run_cli(capsys, command, path, "--labels", "random")
+        assert code != EXIT_INPUT_ERROR
+
     def test_deterministic_output(self, capsys, lieb_json_path):
         args = ("--json", "analyze", lieb_json_path, "--labels", "random", "--seed", "3")
         first = run_cli(capsys, *args)

@@ -347,7 +347,7 @@ class TestVerticalSegmentFaceWitness:
         found = vertical_segment_face_witness(lieb_graph, lieb_labeling)
         assert found is not None
         normal, facial = found
-        assert normal.components == (-1, 0, 0)
+        assert normal == (-1, 0, 0)
         assert format_poly(facial) == "z1*lam"
 
     def test_needs_a_flat_band(self):

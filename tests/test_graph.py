@@ -201,6 +201,12 @@ class TestLabeling:
         lab = Labeling(lieb_graph, [0, 0, 0], weights, allow_zero=True)
         assert lab.weight(0, 1, (0, 0)) == 0
 
+    @pytest.mark.parametrize("potential, weight", [(0.1, 1), (0, 0.5)])
+    def test_floats_are_rejected(self, potential, weight):
+        g = PeriodicGraph(1, 1, [(0, 0, (1,))])
+        with pytest.raises(TypeError, match="float"):
+            Labeling(g, [potential], {(0, 0, (1,)): weight})
+
     def test_restrict(self, lieb_labeling):
         sub, sublab, index = lieb_labeling.restrict({1, 2})
         assert index == {1: 0, 2: 1}

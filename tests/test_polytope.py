@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flatbands import floquet, laurent, polytope, sampling
+from flatbands.flatband import flat_bands_of, vertical_segment_face_witness
 from flatbands.floquet import FloquetMatrix, dispersion_polynomial
-from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
-from flatbands.laurent import PackedTemplate, determinant, pack_rows, support_leibniz
+from flatbands.graph import (Labeling, PeriodicGraph, canonicalize_edge,
+                             has_support_zero_domain)
+from flatbands.laurent import (PackedTemplate, determinant, facial_polynomial, pack_rows,
+                               support_leibniz)
 from flatbands.polytope import (
     _hull_cycle_2d,
     extreme_points,
@@ -127,21 +130,21 @@ def test_face_of_reports_minimizers():
     face = face_of(pts, (-1, 0, 0))
     assert face.min_value == -1
     assert face.members == {(1, 0, 1), (1, 0, 0)}
-    assert face.sorted_members() == [(1, 0, 0), (1, 0, 1)]
+    assert sorted(face.members) == [(1, 0, 0), (1, 0, 1)]
 
 
 def test_vertical_faces_lieb():
     faces = vertical_faces(LIEB_SUPPORT)
     assert len(faces) == 8
-    by_normal = {f.normal.components: f for f in faces}
+    by_normal = {f.normal: f for f in faces}
     # the face picked out by w = (1, 0, 0) collapses onto the z1^-1 column
     left = by_normal[(1, 0, 0)]
     assert left.min_value == -1
     assert left.members == {(-1, 0, 0), (-1, 0, 1)}
     assert all(f.min_value == -1 for f in faces)
     # output is sorted by normal
-    assert [f.normal.components for f in faces] == sorted(
-        f.normal.components for f in faces
+    assert [f.normal for f in faces] == sorted(
+        f.normal for f in faces
     )
 
 
@@ -156,6 +159,53 @@ def test_vertical_faces_needs_vertical_pair():
     # lam-degree 0 on the outer z-columns: faces exist but none vertical
     pts = {(0, 0, 0), (0, 0, 1), (1, 0, 0), (-1, 0, 0)}
     assert vertical_faces(pts) == []
+
+
+def test_faces_come_from_one_lifted_scan():
+    """Faces are plain integer data in ascending normal order, and the
+    flat-band witness reads the same scan on the labeled support."""
+    witnessed = 0
+    for t in range(80):
+        rng = rng_for("lifted faces", t)
+        graph = sampling.random_periodic_graph(rng, dims=(1, 2))
+        support = generic_support(graph)
+        if is_vertical_segment(support):
+            continue
+        faces = vertical_faces(support)
+        assert [f.normal for f in faces] == sorted(f.normal for f in faces)
+        for face in faces:
+            assert type(face.normal) is tuple
+            assert all(type(e) is int for e in face.normal)
+            assert face == face_of(support, face.normal)
+        labeling = random_labeling(graph, rng)
+        if has_support_zero_domain(graph) or not flat_bands_of(graph, labeling).has_flat_band:
+            continue
+        found = vertical_segment_face_witness(graph, labeling)
+        if found is None:
+            continue
+        normal, facial = found
+        assert type(normal) is tuple and normal[-1] == 0
+        z_parts = {key[:-1] for key in facial.support()}
+        assert len(z_parts) == 1 and (0,) * graph.dimension not in z_parts
+        assert facial == facial_polynomial(dispersion_polynomial(graph, labeling), normal)
+        witnessed += 1
+    assert witnessed
+
+
+def _refuse_lp(rows):
+    raise AssertionError("an LP ran on points of mixed lengths")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: extreme_points([(0, 0), (1,), (2, 2)]),
+    lambda: in_convex_hull((1, 1), [(0,), (2, 2)]),
+    lambda: vertical_faces([(0, 0), (1,), (0, 1)]),
+    lambda: newton_polytope_data([(0, 0), (1,), (2, 2)]),
+], ids=["extreme_points", "in_convex_hull", "vertical_faces", "newton_polytope_data"])
+def test_mixed_point_lengths_are_rejected_before_any_lp(monkeypatch, call):
+    monkeypatch.setattr(polytope, "_phase1_feasible_int", _refuse_lp)
+    with pytest.raises(ValueError, match=r"mixed lengths \[1, 2\]"):
+        call()
 
 
 def test_newton_polytope_data_lieb(lieb_graph):
@@ -282,7 +332,7 @@ def test_cofactor_witness_matches_two_sample_oracle(graph):
     if is_vertical_segment(pts):
         return
     for k, face in enumerate(vertical_faces(pts)):
-        w = face.normal.components
+        w = face.normal
         got = facial_independence_witness(graph, face, support_points=pts)
         assert got == _two_sample_witness(graph, w, rng_for("witness", k), pts)
 
@@ -394,7 +444,7 @@ def test_minplus_witness_matches_the_cofactor_oracles(graph):
     if is_vertical_segment(pts):
         return
     for face in vertical_faces(pts):
-        w = face.normal.components
+        w = face.normal
         got = facial_independence_witness(graph, face, support_points=pts)
         assert got == _set_witness(graph, face.members)
         assert got == _cofactor_witness(graph, w, pts)
