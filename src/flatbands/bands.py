@@ -2,18 +2,18 @@
 
 This is the numeric cross-check against exact flat-band detection.  The
 Floquet matrix is evaluated at z = (exp(i th_1), .., exp(i th_d)) on a
-uniform grid of R^d points.  Each upper-triangle entry is compiled once
-into (complex coefficient, offset) terms, and the phase of z^a at grid
-index k is exp(2 pi i (k . a) / R), read from one table of R-th roots of
-unity; the lower triangle is the conjugate.  The eigenvalues come from
-Householder reduction to tridiagonal form and implicit QL with Wilkinson
-shifts, without eigenvectors.  Labels are real, so L at -th is the
-entrywise conjugate of L at th and has the same spectrum: each pair of
-opposite grid points is solved once.  The complex Jacobi solver
-(``hermitian_eigh``) and the pointwise ``floquet_at`` stay as the
-reference the tests hold the grid path against.  No external numeric
-library is used; plain lists of complex numbers are plenty at this
-matrix size.
+uniform grid of R^d points.  Each upper-triangle entry is compiled once,
+from the pencil template's triples, into (complex coefficient, offset)
+terms, and the phase of z^a at grid index k is exp(2 pi i (k . a) / R),
+read from one table of R-th roots of unity; the lower triangle is the
+conjugate.  The eigenvalues come from Householder reduction to
+tridiagonal form and implicit QL with Wilkinson shifts, without
+eigenvectors.  Labels are real, so L at -th is the entrywise conjugate
+of L at th and has the same spectrum: each pair of opposite grid points
+is solved once.  The complex Jacobi solver (``hermitian_eigh``) and the
+pointwise ``floquet_at`` stay as the reference the tests hold the grid
+path against.  No external numeric library is used; plain lists of
+complex numbers are plenty at this matrix size.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 from typing import Sequence, TextIO
 
 from .floquet import FloquetMatrix
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _evaluate
 
 _JACOBI_SWEEPS = 50
 _JACOBI_EPS = 1e-30  # squared off-diagonal mass per element, ~machine precision
@@ -41,15 +41,9 @@ MAX_GRID_POINTS = 1 << 20
 
 def evaluate_entry(poly: LaurentPoly, z_values: Sequence[complex]) -> complex:
     """Numeric value of a lam-free Laurent polynomial at a torus point."""
-    total = 0j
-    for key, coeff in poly.items():
-        if key[-1] != 0:
-            raise ValueError("matrix entries must not contain the spectral variable")
-        value = complex(coeff)
-        for z, e in zip(z_values, key[:-1]):
-            value *= z ** e
-        total += value
-    return total
+    if poly.lam_degree > 0:
+        raise ValueError("matrix entries must not contain the spectral variable")
+    return complex(sum(_evaluate(poly, z_values)))  # [] for the zero polynomial
 
 
 def floquet_at(matrix: FloquetMatrix, z_values: Sequence[complex]) -> list[list[complex]]:
@@ -289,29 +283,28 @@ class BandSample:
 def _compile_upper(matrix: FloquetMatrix):
     """The upper triangle as terms (complex coefficient, offset slot).
 
-    Returns the distinct z-offsets and the nonzero cells (i, j, terms)
-    with i <= j.  Raises ValueError when an entry holds the spectral
-    variable, or when a row's sum of |coefficients|, a bound on every
+    Reads the template's lam-free triples with column >= row.  Returns the
+    distinct z-offsets and the nonzero cells (i, j, terms) with i <= j.
+    Raises ValueError when a row's sum of |coefficients|, a bound on every
     entry and eigenvalue on the torus, is beyond the float range.
     """
-    entries = matrix.matrix.entries
-    n = len(entries)
+    rows = matrix._template.triples(matrix.labeling)
+    n = len(rows)
     slots: dict[tuple[int, ...], int] = {}
     cells = []
     reach = [0.0] * n
-    for i in range(n):
-        for j in range(i, n):
-            terms = []
-            for key, coeff in entries[i][j].items():
-                if key[-1] != 0:
-                    raise ValueError("matrix entries must not contain the spectral variable")
-                terms.append((complex(coeff), slots.setdefault(key[:-1], len(slots))))
-            if terms:
-                cells.append((i, j, terms))
-                size = sum(abs(coeff) for coeff, _ in terms)
-                reach[i] += size
-                if j != i:
-                    reach[j] += size
+    for i, row in enumerate(rows):
+        upper: dict[int, list[tuple[complex, int]]] = {}
+        for j, key, coeff in row:
+            if j >= i and not key[-1]:
+                term = (complex(coeff), slots.setdefault(key[:-1], len(slots)))
+                upper.setdefault(j, []).append(term)
+        for j, terms in sorted(upper.items()):
+            cells.append((i, j, terms))
+            size = sum(abs(coeff) for coeff, _ in terms)
+            reach[i] += size
+            if j != i:
+                reach[j] += size
     if not all(map(math.isfinite, reach)):
         raise ValueError("Floquet matrix entries reach beyond the float range on the torus")
     return list(slots), cells

@@ -265,7 +265,10 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    dims = tuple(int(part) for part in args.dims.split(","))
+    try:
+        dims = tuple(int(part) for part in args.dims.split(","))
+    except ValueError:
+        dims = ()
     if not dims or any(d < 1 or d > 2 for d in dims):
         raise GraphFormatError("--dims must list dimensions within 1..2")
     if not 1 <= args.max_orbits <= 4:

@@ -17,9 +17,10 @@ integers, each row over the lcm of its label denominators, ready for
 one template per graph for every labeling they draw.  The packed keys
 alone are the pencil's 0/1 pattern, whose permanent
 `laurent.support_leibniz` expands without filling anything.  A
-`FloquetMatrix` packs its template on the first `dispersion()` call and
-builds the Laurent matrix `matrix` only when something reads it; the
-pencil is ``matrix.minus_lam_identity()``.
+`FloquetMatrix` packs its template on the first `dispersion()` call;
+every other runtime reader of the pencil (the band grid, permutation
+products) reads the template's `triples`.  The Laurent matrix `matrix`
+holds L(z) alone and is built only when something reads it.
 """
 
 from __future__ import annotations

@@ -26,8 +26,11 @@ EdgeClass = tuple[int, int, tuple[int, ...]]
 
 
 def canonicalize_edge(i: int, j: int, offset: Sequence[int]) -> EdgeClass:
-    """Canonical representative of the identified pair (i,j,a) ~ (j,i,-a)."""
-    a = tuple(int(e) for e in offset)
+    """Canonical representative of (i,j,a) ~ (j,i,-a); offset entries are ints, not bools."""
+    a = tuple(offset)
+    for e in a:
+        if type(e) is not int:
+            raise ValueError(f"offset {a!r} has an entry that is not an integer")
     if i < 0 or j < 0:
         raise ValueError(f"orbit indices must be nonnegative, got ({i}, {j})")
     if i == j:

@@ -38,8 +38,12 @@ Exponent = tuple[int, ...]
 
 
 def _coerce(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction or int")
+    """``value`` as an exact `Fraction`; an exact `Fraction` is returned as it is."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(
+            f"{type(value).__name__} coefficients are not allowed; use Fraction or int")
     return Fraction(value)
 
 
@@ -223,6 +227,17 @@ class LaurentPoly:
         return f"LaurentPoly(d={self.dimension}, {format_poly(self)})"
 
 
+def _evaluate(poly: LaurentPoly, z: Sequence) -> list:
+    """Ascending lam-coefficients of ``poly`` at ``z``, in the number type of ``z``."""
+    out = [0] * (poly.lam_degree + 1)
+    for key, coeff in poly._terms.items():
+        value = coeff
+        for c, e in zip(z, key[:-1]):
+            value *= c ** e
+        out[key[-1]] += value
+    return out
+
+
 def facial_polynomial(poly: LaurentPoly, weights: Sequence[int]) -> LaurentPoly:
     """Sub-sum of ``poly`` over the support points minimizing the weight.
 
@@ -279,20 +294,6 @@ class LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def minus_lam_identity(self) -> "LaurentMatrix":
-        lam = (0,) * self.dimension + (1,)
-        rows = []
-        for i, row in enumerate(self.entries):
-            terms = dict(row[i]._terms)
-            value = terms.get(lam, 0) - 1
-            if value:
-                terms[lam] = Fraction(value)
-            else:
-                del terms[lam]
-            diagonal = LaurentPoly._from_terms(self.dimension, terms)
-            rows.append(row[:i] + (diagonal,) + row[i + 1:])
-        return LaurentMatrix(rows)
 
 
 class PackedPencil:

@@ -515,10 +515,10 @@ def permutation_product(matrix: FloquetMatrix, sigma: Sequence[int]) -> LaurentP
     perm = list(sigma)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    pencil = matrix.matrix.minus_lam_identity()
-    acc = LaurentPoly.constant(matrix.graph.dimension, 1)
-    for i in range(n):
-        acc = acc * pencil[i][perm[i]]
+    d = matrix.graph.dimension
+    acc = LaurentPoly.constant(d, 1)
+    for row, col in zip(matrix._template.triples(matrix.labeling), perm):
+        acc = acc * LaurentPoly._from_terms(d, {key: coeff for j, key, coeff in row if j == col})
     return acc
 
 

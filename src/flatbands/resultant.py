@@ -16,6 +16,7 @@ from typing import Sequence
 from . import unipoly
 from .floquet import dispersion_polynomial, induced_dispersion
 from .graph import Labeling, PeriodicGraph, is_support_zero, quotient_graph
+from .laurent import _evaluate
 from .unipoly import Coeffs
 
 
@@ -85,13 +86,7 @@ def evaluate_z(poly, z0: Sequence) -> Coeffs:
         raise ValueError(f"z0 has {len(z)} coordinates, expected {poly.dimension}")
     if any(c == 0 for c in z):
         raise ValueError("z0 must have nonzero coordinates")
-    out = [Fraction(0)] * (poly.lam_degree + 1)
-    for key, coeff in poly.items():
-        value = coeff
-        for c, e in zip(z, key[:-1]):
-            value *= c ** e
-        out[key[-1]] += value
-    return unipoly.normalize(out)
+    return unipoly.normalize(_evaluate(poly, z))
 
 
 def cut_edge_certificate(graph: PeriodicGraph, subset: Sequence[int],

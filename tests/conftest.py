@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from flatbands.graph import Labeling, PeriodicGraph
+from flatbands.laurent import LaurentMatrix, LaurentPoly
 
 # Tests that start `python -m flatbands` need the same sources in the
 # child interpreter, whether or not the package is installed.
@@ -14,6 +15,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
 )
+
+
+def laurent_pencil(matrix: LaurentMatrix) -> LaurentMatrix:
+    """L(z) - lam * I by Laurent arithmetic: ``e - lam`` on the diagonal."""
+    lam = LaurentPoly.lam(matrix.dimension)
+    return LaurentMatrix(
+        [e - lam if i == j else e for j, e in enumerate(row)]
+        for i, row in enumerate(matrix.entries)
+    )
+
 
 LIEB_EDGES = [
     (0, 1, (0, 0)),

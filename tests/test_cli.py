@@ -234,9 +234,11 @@ class TestVerifyTheorem:
         assert report["vertical_segment_agreement"]["ladder_failures"] == []
 
     def test_rejects_bad_dims(self, capsys):
-        code, _, err = run_cli(capsys, "verify-theorem", "--dims", "3")
-        assert code == EXIT_INPUT_ERROR
-        assert "dims" in err
+        # an entry out of range, an empty entry, and one that is no number
+        for dims in ("3", "1,,2", "x"):
+            code, _, err = run_cli(capsys, "verify-theorem", "--dims", dims)
+            assert code == EXIT_INPUT_ERROR
+            assert err.strip().endswith("--dims must list dimensions within 1..2")
 
     def test_rejects_negative_count(self, capsys):
         code, out, err = run_cli(capsys, "--json", "verify-theorem", "--count", "-3")
@@ -668,6 +670,22 @@ class TestExactWorkPerCommand:
         assert code == EXIT_OK
         assert json.loads(out)["exact_crosscheck"][0]["consistent"] is True
         assert builds == [3]
+
+    @pytest.mark.parametrize("command, matrices", [("bands", 0), ("analyze", 1)])
+    def test_only_the_analyze_printout_builds_a_laurent_matrix(
+            self, capsys, monkeypatch, lieb_json_path, command, matrices):
+        # the band grid reads the pencil template; analyze prints L(z)
+        builds = []
+        init = LaurentMatrix.__init__
+
+        def counted(self, entries):
+            builds.append(command)
+            init(self, entries)
+
+        monkeypatch.setattr(LaurentMatrix, "__init__", counted)
+        code, _, _ = run_cli(capsys, command, lieb_json_path)
+        assert code in (EXIT_OK, EXIT_FLAT_BAND)
+        assert len(builds) == matrices
 
 
 def test_module_entry_point(lieb_json_path):

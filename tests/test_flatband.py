@@ -22,6 +22,8 @@ from flatbands.graphio import load_graph_file
 from flatbands.laurent import LaurentPoly, det_bareiss, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
+from conftest import laurent_pencil
+
 F = Fraction
 
 
@@ -251,7 +253,7 @@ def test_integer_decision_matches_the_bareiss_oracle(case):
     labeling, block = case
     graph = labeling.graph
     report = flat_bands_of(graph, labeling)
-    oracle = flat_bands(det_bareiss(FloquetMatrix(graph, labeling).matrix.minus_lam_identity()))
+    oracle = flat_bands(det_bareiss(laurent_pencil(FloquetMatrix(graph, labeling).matrix)))
     assert report.flatband_poly == oracle.flatband_poly
     assert report.flat_band_count >= block
     # each z-part's slice, decoded from the packed keys, is the oracle's

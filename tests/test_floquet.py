@@ -23,6 +23,8 @@ from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
 from flatbands.laurent import LaurentMatrix, LaurentPoly, det_bareiss, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
+from conftest import laurent_pencil
+
 
 def lieb_closed_form(v, e):
     """det(L - lam) for the Lieb lattice, expanded by hand.
@@ -145,7 +147,7 @@ def test_induced_dispersion_multiplies_over_split(lieb_graph, lieb_labeling):
 
 def test_dispersion_method_choice(lieb_graph, lieb_labeling):
     matrix = FloquetMatrix(lieb_graph, lieb_labeling)
-    assert matrix.dispersion() == det_bareiss(matrix.matrix.minus_lam_identity())
+    assert matrix.dispersion() == det_bareiss(laurent_pencil(matrix.matrix))
 
 
 def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> LaurentMatrix:
@@ -207,8 +209,7 @@ def test_packed_build_matches_the_laurent_oracle(labeling):
     oracle = _build_matrix(graph, labeling)
     matrix = FloquetMatrix(graph, labeling)
     assert matrix.matrix == oracle
-    pencil = oracle.minus_lam_identity().entries
-    assert matrix.dispersion() == det_bareiss(LaurentMatrix(pencil))
+    assert matrix.dispersion() == det_bareiss(laurent_pencil(oracle))
 
 
 def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):

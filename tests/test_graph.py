@@ -33,6 +33,16 @@ class TestCanonicalization:
         assert canonicalize_edge(1, 1, (1, -1)) == (1, 1, (1, -1))
         assert canonicalize_edge(1, 1, (-1, 1)) == (1, 1, (1, -1))
 
+    @pytest.mark.parametrize("offset", [(0.5,), (1.7,), (True,), (1, 2.0), (1, False)])
+    def test_non_integer_offsets_are_rejected(self, offset):
+        with pytest.raises(ValueError, match=r"offset \(.*\) has an entry that is not an integer"):
+            canonicalize_edge(0, 0, offset)
+        with pytest.raises(ValueError, match="not an integer"):
+            PeriodicGraph(len(offset), 2, [(0, 1, offset)])
+        g = PeriodicGraph(len(offset), 2, [(0, 1, (0,) * len(offset))])
+        with pytest.raises(ValueError, match="not an integer"):
+            Labeling(g, [0, 0], {(0, 1, offset): 1})
+
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             canonicalize_edge(3, 3, (0, 0))
@@ -201,10 +211,11 @@ class TestLabeling:
         lab = Labeling(lieb_graph, [0, 0, 0], weights, allow_zero=True)
         assert lab.weight(0, 1, (0, 0)) == 0
 
-    @pytest.mark.parametrize("potential, weight", [(0.1, 1), (0, 0.5)])
+    @pytest.mark.parametrize("potential, weight", [(0.1, 1), (0, 0.5), (True, 1), (0, True)])
     def test_floats_are_rejected(self, potential, weight):
         g = PeriodicGraph(1, 1, [(0, 0, (1,))])
-        with pytest.raises(TypeError, match="float"):
+        bad = weight if type(potential) is int else potential
+        with pytest.raises(TypeError, match=type(bad).__name__):
             Labeling(g, [potential], {(0, 0, (1,)): weight})
 
     def test_restrict(self, lieb_labeling):

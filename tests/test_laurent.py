@@ -31,6 +31,14 @@ def test_zero_coefficients_are_dropped():
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         LaurentPoly(1, {(0, 0): 0.5})
+    with pytest.raises(TypeError, match="bool"):
+        LaurentPoly(1, {(0, 0): True})
+
+
+def test_exact_fractions_are_kept_as_they_are():
+    value = Fraction(-3, 7)
+    assert laurent._coerce(value) is value
+    assert laurent._coerce(2) == Fraction(2)
 
 
 def test_key_length_is_checked():
@@ -115,24 +123,6 @@ def test_matrix_validation():
         LaurentMatrix([[one, one]])
     with pytest.raises(ValueError):
         LaurentMatrix([[one, LaurentPoly.constant(2, 1)], [one, one]])
-
-
-def test_minus_lam_identity():
-    z = LaurentPoly.z_var(1, 0)
-    m = LaurentMatrix([[z, z], [z, z]]).minus_lam_identity()
-    lam = LaurentPoly.lam(1)
-    assert m[0][0] == z - lam
-    assert m[0][1] == z
-
-
-def test_minus_lam_identity_edits_lam_terms_of_the_diagonal():
-    z = LaurentPoly.z_var(1, 0)
-    lam = LaurentPoly.lam(1)
-    m = LaurentMatrix([[lam + z, lam], [lam.scale(3), z]]).minus_lam_identity()
-    assert m[0][0] == z and m[0][0].support() == {(1, 0)}
-    assert m[0][1] == lam
-    assert m[1][0] == lam.scale(3)
-    assert m[1][1] == z - lam
 
 
 def test_two_by_two_determinant():

@@ -1,5 +1,6 @@
 """Exact hull geometry, vertical faces, and support containment checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -457,6 +458,23 @@ def test_permutation_product(lieb_graph, lieb_labeling):
     assert diag == lam * lam * lam
     with pytest.raises(ValueError):
         permutation_product(matrix, [0, 0, 1])
+
+
+def test_signed_permutation_products_sum_to_the_dispersion(lieb_graph, lieb_labeling):
+    # the Leibniz formula over the template's triples, -lam triple included
+    cases = [(lieb_graph, lieb_labeling)]
+    for t in range(150):
+        rng = rng_for("leibniz-sum", t)
+        graph = sampling.random_periodic_graph(rng)
+        cases.append((graph, random_labeling(graph, rng)))
+    for graph, labeling in cases:
+        matrix = FloquetMatrix(graph, labeling)
+        total = laurent.LaurentPoly.zero(graph.dimension)
+        for sigma in itertools.permutations(range(graph.num_orbits)):
+            term = permutation_product(matrix, sigma)
+            odd = sum(a > b for a, b in itertools.combinations(sigma, 2)) % 2
+            total = total - term if odd else total + term
+        assert total == matrix.dispersion()
 
 
 def test_sigma_support_check_lieb(lieb_graph, lieb_labeling):
