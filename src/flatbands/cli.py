@@ -515,8 +515,9 @@ def main(argv=None) -> int:
         # GraphFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ArithmeticError, AssertionError) as exc:
-        # a broken invariant guard: report it as a bug, not a traceback
+    except Exception as exc:
+        # a broken invariant guard or exhausted memory: report it as a bug,
+        # not a traceback; KeyboardInterrupt and SystemExit pass through
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 

@@ -148,15 +148,14 @@ def _report(slices: Sequence[Sequence[int]], degree: int) -> FlatBandReport:
     support's z-projection; on random dispersions this order reached 1 in
     fewer steps than lowest lam-degree first.  Factoring g, and the
     re-verification of every rational root on the slices, wait until the
-    report's roots or factors are read.
+    report's roots or factors are read.  Both callers check the
+    lam-leading term first, so there is always a nonzero slice.
     """
     g: tuple[int, ...] = ()
     for p in slices:
         g = unipoly._primitive_gcd(g, unipoly._int_primitive(p))
         if len(g) == 1:
             break
-    if not g:
-        raise AssertionError("dispersion with no terms slipped through")
     if len(g) - 1 > degree:
         raise AssertionError("flat-band polynomial exceeds the lam degree")
     lead = g[-1]

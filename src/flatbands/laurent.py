@@ -12,8 +12,11 @@ them with each set of label values into a `PackedPencil`: each row's
 numerators over the lcm of its denominators, every exponent tuple packed
 into one int by Kronecker substitution, and the product of the row
 denominators.  `pack_rows` packs coefficient triples through it.  One
-expander, `det_packed`, expands minors of such a pencil memoized on
-column bitmasks and returns the determinant as {packed key: integer
+expander, `det_packed`, expands minors of such a pencil row by row with
+no recursion: `_row_masks` lists the column bitmasks each row expands
+on (the min-plus permanent in `flatbands.polytope` walks the same
+lists), and a loop from the last row up keeps only the minors of the
+row below.  It returns the determinant as {packed key: integer
 numerator} over the pencil's denominator; the exact decisions in
 `flatbands.flatband` read it as it is.  `det_leibniz` takes a pencil
 (or a `LaurentMatrix`, which it packs first), runs `det_packed`, and
@@ -47,6 +50,15 @@ def _coerce(value) -> Fraction:
     return Fraction(value)
 
 
+def _integers(what: str, values: Iterable) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; any other entry, a bool included, is a ValueError."""
+    values = tuple(values)
+    for e in values:
+        if type(e) is not int:
+            raise ValueError(f"{what} {values!r} has an entry that is not an integer")
+    return values
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in z1..zd and lam."""
 
@@ -57,7 +69,7 @@ class LaurentPoly:
             raise ValueError("dimension must be nonnegative")
         clean: dict[Exponent, Fraction] = {}
         for key, value in (terms or {}).items():
-            key = tuple(int(e) for e in key)
+            key = _integers("exponent", key)
             if len(key) != dimension + 1:
                 raise ValueError(
                     f"exponent {key!r} has length {len(key)}, expected {dimension + 1}"
@@ -424,43 +436,53 @@ def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
     return LaurentPoly._from_terms(dim, out)
 
 
+def _row_masks(rows: Sequence[Sequence[tuple]], mask: int) -> list[set[int]]:
+    """Column masks of the row expansion of ``rows`` from the columns in ``mask``.
+
+    Entry r holds the masks that expanding rows 0..r-1 leaves: the
+    column sets of the minors that row r expands.  An entry of a row
+    starts with its column bit.  ``mask`` has one column per row.
+    """
+    levels = [{mask}]
+    for row in rows[:-1]:
+        levels.append({left ^ entry[0] for left in levels[-1] for entry in row if left & entry[0]})
+    return levels
+
+
 def det_packed(pencil: PackedPencil) -> dict[int, int]:
     """Integer determinant of a packed pencil: {packed key: numerator}.
 
     Every numerator is over ``pencil.denominator``, and no value is 0.
-    Minor expansion along rows, memoized on column sets: a minor is keyed
-    by the bitmask of its remaining columns; it expands row
-    n - popcount(mask), and column ``bit`` enters with the sign of the
-    number of remaining columns before it.  The sign is carried by each
-    entry's negated terms, so rows whose negated terms equal their terms
-    make this the permanent; `support_leibniz` runs it that way.
+    One row-by-row minor expansion with no recursion: `_row_masks` lists
+    the column masks each row expands on, and a loop from the last row
+    up keeps only the nonzero minors of the row below, keyed by mask.
+    Column ``bit`` enters with the sign of the number of remaining
+    columns before it.  The sign is carried by each entry's negated
+    terms, so rows whose negated terms equal their terms make this the
+    permanent; `support_leibniz` runs it that way.
     """
-    n = pencil.size
-    rows = pencil.rows
-    memo: dict[int, dict[int, int]] = {0: {0: 1}}
-
-    def minor(mask: int) -> dict[int, int]:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        acc: dict[int, int] = {}
-        get = acc.get
-        for bit, terms, negated in rows[n - mask.bit_count()]:
-            if not mask & bit:
-                continue
-            sub = minor(mask ^ bit)
-            if not sub:
-                continue
-            odd = (mask & (bit - 1)).bit_count() & 1
-            for key, coeff in negated if odd else terms:
-                for sub_key, sub_coeff in sub.items():
-                    target = key + sub_key
-                    acc[target] = get(target, 0) + coeff * sub_coeff
-        result = {key: value for key, value in acc.items() if value}
-        memo[mask] = result
-        return result
-
-    return minor((1 << n) - 1)
+    full = (1 << pencil.size) - 1
+    below: dict[int, dict[int, int]] = {0: {0: 1}}
+    for row, masks in zip(reversed(pencil.rows), reversed(_row_masks(pencil.rows, full))):
+        minors = {}
+        for mask in masks:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for bit, terms, negated in row:
+                # a column outside mask gives a mask no minor below has
+                sub = below.get(mask ^ bit)
+                if sub is None:
+                    continue
+                odd = (mask & (bit - 1)).bit_count() & 1
+                for key, coeff in negated if odd else terms:
+                    for sub_key, sub_coeff in sub.items():
+                        target = key + sub_key
+                        acc[target] = get(target, 0) + coeff * sub_coeff
+            result = {key: value for key, value in acc.items() if value}
+            if result:
+                minors[mask] = result
+        below = minors
+    return below.get(full, {})
 
 
 def support_leibniz(template: PackedTemplate) -> frozenset[Exponent]:

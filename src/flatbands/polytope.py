@@ -51,7 +51,8 @@ the pattern keys of pencil entry (i, j), with row and column v deleted:
 min(0, -|w'.a| over the self classes a of orbit i) on the diagonal, where
 the potential and -lam sit at weight 0, and w'.a on (i, j) and -w'.a on
 (j, i) for a class (i, j, a).  The diagonal is never empty, so every
-such permanent is finite.
+such permanent is finite.  `_minplus_permanent` expands it row by row
+over the column masks that `det_packed` walks, with no recursion.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .floquet import FloquetMatrix, PencilTemplate
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentPoly, support_leibniz
+from .laurent import LaurentPoly, _row_masks, support_leibniz
 
 Point = tuple[int, ...]
 
@@ -483,26 +484,25 @@ def _face_weights(graph: PeriodicGraph, normal: Sequence[int]) -> list[list[tupl
 def _minplus_permanent(rows: list[list[tuple[int, int]]], mask: int) -> int | None:
     """Least total weight of a matching of `rows` onto the columns in `mask`.
 
-    The row expansion of `flatbands.laurent.det_packed`, memoized on
-    column bitmasks, with min and + on ints in place of the sums and
-    products of coefficients.  None marks a minor with no matching.
+    The row-by-row expansion of `flatbands.laurent.det_packed` over the
+    column masks of `flatbands.laurent._row_masks`, with no recursion,
+    min and + on ints in place of the sums and products of coefficients,
+    and only the minors of the row below kept.  None marks no matching.
     """
-    n = len(rows)
-    memo: dict[int, int | None] = {0: 0}
-
-    def minor(mask: int) -> int | None:
-        if mask in memo:
-            return memo[mask]
-        best = None
-        for bit, weight in rows[n - mask.bit_count()]:
-            if mask & bit:
-                sub = minor(mask ^ bit)
+    below = {0: 0}
+    for row, masks in zip(reversed(rows), reversed(_row_masks(rows, mask))):
+        minors = {}
+        for left in masks:
+            best = None
+            for bit, weight in row:
+                # a column outside left gives a mask no minor below has
+                sub = below.get(left ^ bit)
                 if sub is not None and (best is None or weight + sub < best):
                     best = weight + sub
-        memo[mask] = best
-        return best
-
-    return minor(mask)
+            if best is not None:
+                minors[left] = best
+        below = minors
+    return below.get(mask)
 
 
 # ---------------------------------------------------------------------------

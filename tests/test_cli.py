@@ -525,6 +525,36 @@ class TestErrorPaths:
         assert str(error) in err
         assert "Traceback" not in err
 
+    def test_exhausted_memory_is_one_internal_error_line(self, capsys, monkeypatch,
+                                                         lieb_json_path):
+        def exhausted(pencil):
+            raise MemoryError
+
+        monkeypatch.setattr(laurent, "det_packed", exhausted)
+        code, out, err = run_cli(capsys, "analyze", lieb_json_path)
+        assert code == EXIT_INTERNAL_ERROR
+        assert out == ""
+        assert err == "internal error: MemoryError\n"
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_pass_through(self, monkeypatch, lieb_json_path, error):
+        def interrupted(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_analyze", interrupted)
+        with pytest.raises(error):
+            main(["analyze", lieb_json_path])
+
+    def test_polytope_of_a_thousand_edgeless_orbits(self, capsys, tmp_path):
+        # a recursive minor expansion ends here in a RecursionError traceback
+        path = write_graph(tmp_path, "edgeless1100.json", {
+            "dimension": 1,
+            "orbits": [{"id": str(k), "potential": 0} for k in range(1100)],
+        })
+        code, out, err = run_cli(capsys, "polytope", path)
+        assert code == EXIT_OK
+        assert err == ""
+
 
 def _refuse_factoring(p):
     raise RuntimeError("factor_rational must not run")

@@ -371,3 +371,11 @@ class TestVerticalSegmentFaceWitness:
         lab = Labeling(g, [0, 1], {(0, 1, (0,)): 1})
         with pytest.raises(ValueError):
             vertical_segment_face_witness(g, lab)
+
+
+def test_edgeless_graph_with_a_thousand_orbits_has_a_flat_band_per_orbit():
+    # a recursive minor expansion overflows the interpreter's stack here
+    n = 1100
+    graph = PeriodicGraph(1, n)
+    report = flat_bands_of(graph, Labeling(graph, [0] * n, {}))
+    assert report.flat_band_count == n

@@ -1,5 +1,6 @@
 """Periodic graph structure, support-zero searches, and labelings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from flatbands.graph import (
     reshift,
     support_of_subset,
 )
+from flatbands.sampling import random_periodic_graph
 
 
 class TestCanonicalization:
@@ -127,6 +129,20 @@ def test_reshift_moves_offsets():
     assert reshift(g, {0: (2,), 1: (2,)}) == g
 
 
+@pytest.mark.parametrize("shifts", [{0: (0.7,)}, {0: (True,)}, {1.9: (1,)}, {True: (1,)}])
+def test_shift_assignment_refuses_non_integers(shifts):
+    # int() would turn the shift (0.7,) into (0,) and the orbit 1.9 into 1
+    with pytest.raises(ValueError, match="not an integer"):
+        ShiftAssignment(1, shifts)
+
+
+@pytest.mark.parametrize("dimension, num_orbits", [(2.7, 3.5), (True, True), (1, 2.0)])
+def test_periodic_graph_refuses_non_integer_sizes(dimension, num_orbits):
+    # int() would make (2.7, 3.5) a 2-D, 3-orbit graph and (True, True) a 1-D, 1-orbit one
+    with pytest.raises(ValueError, match="not an integer"):
+        PeriodicGraph(dimension, num_orbits)
+
+
 def test_reshift_dimension_mismatch():
     g = PeriodicGraph(2, 2, [(0, 1, (1, 0))])
     with pytest.raises(ValueError):
@@ -179,6 +195,22 @@ class TestSupportZeroSearch:
         g = PeriodicGraph(1, 4, [(0, 1, (0,)), (2, 3, (0,))])
         block, _ = find_support_zero_component(g)
         assert block == {0, 1}
+
+
+def test_shift_assignments_zero_their_components_on_random_graphs():
+    # the oracle for the refit that find_support_zero_component trusts
+    zeroed = 0
+    for seed in range(200):
+        graph = random_periodic_graph(random.Random(seed))
+        first = None
+        for block in components(graph):
+            assignment = component_shift_assignment(graph, block)
+            if assignment is not None:
+                assert is_support_zero(reshift(graph, assignment), block)
+                first = first or (block, assignment)
+                zeroed += 1
+        assert find_support_zero_component(graph) == first
+    assert zeroed >= 100
 
 
 class TestLabeling:

@@ -46,6 +46,13 @@ def test_key_length_is_checked():
         LaurentPoly(2, {(0, 0): 1})
 
 
+@pytest.mark.parametrize("key", [(0.5, 0), (1, True), (0, 1.0), (Fraction(1), 0)])
+def test_exponents_that_are_not_ints_are_rejected(key):
+    # int() would turn (0.5, 0) into the constant term and (1, True) into z1*lam
+    with pytest.raises(ValueError, match="not an integer"):
+        LaurentPoly(1, {key: 1})
+
+
 def test_negative_lam_exponent_is_rejected():
     with pytest.raises(ValueError):
         LaurentPoly(1, {(0, -1): 1})

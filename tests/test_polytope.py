@@ -16,6 +16,7 @@ from flatbands.laurent import (PackedTemplate, determinant, facial_polynomial, p
                                support_leibniz)
 from flatbands.polytope import (
     _hull_cycle_2d,
+    _minplus_permanent,
     extreme_points,
     face_of,
     facial_independence_witness,
@@ -449,6 +450,47 @@ def test_minplus_witness_matches_the_cofactor_oracles(graph):
         got = facial_independence_witness(graph, face, support_points=pts)
         assert got == _set_witness(graph, face.members)
         assert got == _cofactor_witness(graph, w, pts)
+
+
+def _brute_minplus(rows, mask):
+    """Oracle: the least weight over every bijection of the rows onto the mask's columns."""
+    columns = [col for col in range(mask.bit_length()) if mask >> col & 1]
+    tables = [dict(row) for row in rows]
+    costs = [sum(table[1 << col] for table, col in zip(tables, perm))
+             for perm in itertools.permutations(columns)
+             if all(1 << col in table for table, col in zip(tables, perm))]
+    return min(costs, default=None)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_minplus_permanent_matches_every_permutation(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    density = rng.choice((0.3, 0.6, 1.0))
+    rows = [[(1 << col, rng.randint(-9, 9)) for col in range(n) if rng.random() < density]
+            for _ in range(n)]
+    full = (1 << n) - 1
+    assert _minplus_permanent(rows, full) == _brute_minplus(rows, full)
+    for v in range(n):
+        cofactor = rows[:v] + rows[v + 1:]
+        assert _minplus_permanent(cofactor, full ^ 1 << v) == _brute_minplus(cofactor, full ^ 1 << v)
+
+
+def test_minplus_permanent_without_a_matching_is_none():
+    # two rows that reach only column 0
+    rows = [[(1, 4)], [(1, -2)], [(1, 0), (2, 1), (4, 1)]]
+    assert _minplus_permanent(rows, 7) is None
+    assert _brute_minplus(rows, 7) is None
+    assert _minplus_permanent([], 0) == 0
+
+
+def test_minplus_permanent_runs_a_thousand_rows_without_recursion():
+    # the diagonal of an 1100-orbit edgeless graph: a recursive expansion
+    # overflows the interpreter's stack long before the last row
+    n = 1100
+    rows = [[(1 << v, 0)] for v in range(n)]
+    assert _minplus_permanent(rows, (1 << n) - 1) == 0
+    assert _minplus_permanent(rows[1:], (1 << n) - 2) == 0
 
 
 def test_permutation_product(lieb_graph, lieb_labeling):
