@@ -10,7 +10,8 @@ and seed; `--json` switches the same report to machine-readable form.
 Exit codes: 0 success / no flat band, 2 input error, 3 internal error (a
 broken invariant, reported in one line), 10 flat band found
 (or, for the sweep, an oracle disagreement), 11 inconsistent random
-trials (rerun with another seed).
+trials (rerun with another seed), 141 stdout closed before the report
+was written (as in `| head`; nothing goes to stderr).
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
 from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
                     write_csv)
 from .flatband import (FlatBandReport, InvariantError, flat_bands,
-                       generic_flat_band_decision)
-from .floquet import FloquetMatrix, dispersion_polynomial
+                       generic_flat_band_decision, settled_verdict)
+from .floquet import FloquetMatrix, PencilTemplate, dispersion_polynomial
 from .graph import (Labeling, PeriodicGraph, find_support_zero_component,
                     has_support_zero_domain)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
@@ -41,6 +43,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 EXIT_FLAT_BAND = 10
 EXIT_INCONSISTENT = 11
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer cut off by `head`
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +293,23 @@ def cmd_verify_theorem(args) -> int:
             dims=dims, max_orbits=args.max_orbits, max_edges=args.max_edges,
         )
         combinatorial = find_support_zero_component(graph) is not None
-        decision = generic_flat_band_decision(
-            graph, trials=args.trials, seed=f"{args.seed}/alg/{t}"
-        )
-        if not decision.consistent:
+        template = PencilTemplate(graph)
+        generic_flat = settled_verdict(template, args.trials, f"{args.seed}/alg/{t}")
+        if generic_flat is None:
             inconsistent.append({"trial": t, "graph": graph_to_document(graph)})
-        elif combinatorial != decision.has_flat_band:
+        elif combinatorial != generic_flat:
             disagreements.append({
                 "trial": t,
                 "support_zero_component": combinatorial,
-                "generic_flat_band": decision.has_flat_band,
+                "generic_flat_band": generic_flat,
                 "graph": graph_to_document(graph),
             })
-        elif decision.has_flat_band:
+        elif generic_flat:
             both_flat += 1
         else:
             both_none += 1
 
-        support = generic_support(graph)
+        support = generic_support(template)
         segment = is_vertical_segment(support)
         whole_domain = has_support_zero_domain(graph)
         if segment != whole_domain:
@@ -493,6 +495,23 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at devnull after a broken pipe.
+
+    Output still buffered is then flushed into devnull at interpreter
+    exit, with no second `BrokenPipeError` (the recipe in the `signal`
+    module docs).  A stdout with no file descriptor, such as an
+    in-process caller's buffer, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
@@ -507,7 +526,14 @@ def main(argv=None) -> int:
         "bands": cmd_bands,
     }[args.subcommand]
     try:
-        return handler(args)
+        exit_code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return exit_code
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): nothing is wrong with the
+        # input, and there is no one left to tell
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR

@@ -17,6 +17,21 @@ remainder sequence on int tuples (`unipoly._primitive_gcd`), and only
 the final gcd becomes monic Fractions.  `flat_bands` takes a dispersion
 already held as a `LaurentPoly` into the same core.  Each rational root
 is checked again by exact division of the integer slices.
+
+The randomized decision draws its labelings in one trial loop,
+`_trial_reports`, on one template per graph.  The labelings with a flat
+band form a Zariski-closed set, which for a connected graph is a proper
+subset (the paper's corollary).  The exact gcd is a proof, not an
+estimate, so one labeling with no flat band lies outside that set and
+shows that the generic operator has no flat band.  `settled_verdict`,
+which `verify-theorem` calls, therefore draws no labeling after the
+first such one.  It still applies the unanimity rule to the trials it
+ran, on purpose: that keeps the sweep's verdicts those of the full K
+draws wherever a "no" comes first, so a "flat" draw followed by a "no"
+draw stays inconsistent, although the "no" alone proves absence.  The
+rule is conservative and depends on the draw order.
+`generic_flat_band_decision` still draws and reports all K labelings,
+so `generic` lists every trial and calls any mixed run inconsistent.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import laurent, unipoly
 from .floquet import PencilTemplate, dispersion_polynomial, induced_dispersion
@@ -217,7 +232,12 @@ class GenericFlatBandDecision:
     """Unanimous verdict over independent random labelings.
 
     ``has_flat_band`` is None when the trials disagreed, which flags an
-    unlucky non-generic draw; rerun with a different seed.
+    unlucky non-generic draw; rerun with a different seed.  Every one of
+    the ``trials`` labelings is drawn and reported, even after one with
+    no flat band has already proved that the generic operator has none
+    (see the module docstring); `verify-theorem` stops there instead,
+    through `settled_verdict`, and keeps this unanimity rule over the
+    trials it ran.
     """
 
     has_flat_band: bool | None
@@ -227,25 +247,56 @@ class GenericFlatBandDecision:
     reports: tuple[FlatBandReport, ...]
 
 
+def _trial_reports(template: PencilTemplate, trials: int, seed: int | str
+                   ) -> Iterator[FlatBandReport]:
+    """The report of each trial t in turn, labeled from rng_for(seed, "decision", t).
+
+    The one trial loop of the randomized decision: every labeling fills
+    the same template.  `generic_flat_band_decision` reads it to the
+    end; `settled_verdict` stops at the first report with no flat band.
+    """
+    graph = template.graph
+    for t in range(trials):
+        labeling = random_labeling(graph, rng_for(seed, "decision", t))
+        yield _packed_report(template.pack(labeling))
+
+
+def _verdict(answers: Iterable[bool]) -> bool | None:
+    """The answer every trial gave, or None when the trials disagree."""
+    distinct = set(answers)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
+def settled_verdict(template: PencilTemplate, trials: int, seed: int | str
+                     ) -> bool | None:
+    """The unanimous verdict of the trials up to the first with no flat band.
+
+    No labeling is drawn after one whose exact gcd is 1, since that one
+    already proves the generic operator has no flat band; a "flat" draw
+    before it still makes the verdict None (see the module docstring).
+    """
+    answers = []
+    for report in _trial_reports(template, trials, seed):
+        answers.append(report.has_flat_band)
+        if not report.has_flat_band:
+            break
+    return _verdict(answers)
+
+
 def generic_flat_band_decision(graph: PeriodicGraph, trials: int = 5,
                                seed: int | str = 0
                                ) -> GenericFlatBandDecision:
     """Decide whether flat bands persist for random rational labelings."""
     if trials < 1:
         raise ValueError("at least one trial is required")
-    template = PencilTemplate(graph)
-    reports = []
-    for t in range(trials):
-        labeling = random_labeling(graph, rng_for(seed, "decision", t))
-        reports.append(_packed_report(template.pack(labeling)))
-    answers = {report.has_flat_band for report in reports}
-    consistent = len(answers) == 1
+    reports = tuple(_trial_reports(PencilTemplate(graph), trials, seed))
+    verdict = _verdict(report.has_flat_band for report in reports)
     return GenericFlatBandDecision(
-        has_flat_band=answers.pop() if consistent else None,
-        consistent=consistent,
+        has_flat_band=verdict,
+        consistent=verdict is not None,
         trials=trials,
         seed=seed,
-        reports=tuple(reports),
+        reports=reports,
     )
 
 

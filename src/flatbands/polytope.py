@@ -89,7 +89,7 @@ class NewtonPolytopeData:
     face_descriptors: tuple[FaceDescriptor, ...] | None
 
 
-def generic_support(graph: PeriodicGraph) -> frozenset[Point]:
+def generic_support(graph: PeriodicGraph | PencilTemplate) -> frozenset[Point]:
     """Exact support of the dispersion for generic labels.
 
     Every potential and weight is taken as its own indeterminate.  The
@@ -100,9 +100,16 @@ def generic_support(graph: PeriodicGraph) -> frozenset[Point]:
     the permanent of the pencil's 0/1 pattern: the constant and lam on
     the diagonal, z^(+-a) for each self class, and z^a / z^-a off the
     diagonal.  It contains the support of every labeled dispersion, and
-    equals it for labels off a proper algebraic subset.
+    equals it for labels off a proper algebraic subset.  A caller that
+    already holds the graph's `PencilTemplate` may pass it instead of the
+    graph, so that one template serves its labelings and the support.
+    That second input mode exists only because the benchmark tracer's
+    `polytope.support` span wraps this name; once the tracer wraps
+    another, such a caller can call `support_leibniz(template.packed)`
+    and this function can take the graph alone again.
     """
-    return support_leibniz(PencilTemplate(graph).packed)
+    template = graph if isinstance(graph, PencilTemplate) else PencilTemplate(graph)
+    return support_leibniz(template.packed)
 
 
 def _common_length(points: Iterable[Sequence]) -> int:

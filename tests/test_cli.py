@@ -14,10 +14,14 @@ import pytest
 import flatbands
 from flatbands import cli, laurent, polytope, unipoly
 from flatbands.bands import MAX_GRID_POINTS
-from flatbands.floquet import FloquetMatrix
+from flatbands.flatband import flat_bands_of, generic_flat_band_decision
+from flatbands.floquet import FloquetMatrix, PencilTemplate
 from flatbands.laurent import LaurentMatrix, LaurentPoly, PackedTemplate, format_unipoly
+from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 from flatbands.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_FLAT_BAND,
+    EXIT_INCONSISTENT,
     EXIT_INPUT_ERROR,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
@@ -260,6 +264,64 @@ class TestVerifyTheorem:
                                  "--count", count, "--trials", trials)
         assert (code, out) == (EXIT_INPUT_ERROR, "")
         assert err == "input error: --trials must be at least 1\n"
+
+
+    def test_verdict_matches_the_decision_over_every_trial(self, capsys):
+        # a labeling whose exact gcd is 1 proves that the generic operator
+        # has no flat band, so verify-theorem stops at the first one.  Its
+        # verdict is the decision over all K labelings wherever that one is
+        # unanimous.  Where it is mixed, the stop says "no" if trial 0 has no
+        # flat band, and stays inconsistent if a "flat" draw came first.
+        for k in range(2000):
+            dims = ((1,), (2,), (1, 2))[k % 3]
+            trials = 1 + k % 5
+            code, out, _ = run_cli(capsys, "--json", "verify-theorem", "--count", "1",
+                                   "--seed", str(k), "--trials", str(trials),
+                                   "--dims", ",".join(map(str, dims)))
+            graph = random_periodic_graph(rng_for(k, "graph", 0), dims=dims,
+                                          max_orbits=4, max_edges=6)
+            decision = generic_flat_band_decision(graph, trials=trials, seed=f"{k}/alg/0")
+            expected = decision.has_flat_band
+            if not decision.consistent:
+                expected = None if decision.reports[0].has_flat_band else False
+            assert _sweep_verdict(json.loads(out)) == expected, k
+            assert (code == EXIT_INCONSISTENT) == (expected is None), k
+
+    @pytest.mark.parametrize("seed, labelings", [(1, 1), (0, 5)])
+    def test_one_template_and_labelings_up_to_the_first_no(self, capsys, monkeypatch,
+                                                            seed, labelings):
+        # graph 0 of seed 1 has no flat band at trial 0; that of seed 0 is flat
+        # at every trial
+        assert _labelings_until_settled(0, seed=seed) == labelings
+        fills, templates = [], []
+        fill, init = PackedTemplate.fill, PencilTemplate.__init__
+
+        def counted_fill(self, values):
+            fills.append(len(values))
+            return fill(self, values)
+
+        def counted_init(self, graph):
+            templates.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(PackedTemplate, "fill", counted_fill)
+        monkeypatch.setattr(PencilTemplate, "__init__", counted_init)
+        code, _, _ = run_cli(capsys, "--json", "verify-theorem", "--count", "1",
+                             "--seed", str(seed))
+        assert code == EXIT_OK
+        assert len(fills) == labelings
+        assert len(templates) == 1
+
+
+def _sweep_verdict(report: dict) -> bool | None:
+    """The generic verdict of a one-graph verify-theorem report; None if mixed."""
+    agreement = report["oracle_agreement"]
+    if agreement["inconsistent_trials"]:
+        return None
+    if agreement["both_flat_band"] or agreement["both_no_flat_band"]:
+        return bool(agreement["both_flat_band"])
+    [entry] = [d for d in agreement["disagreements"] if "generic_flat_band" in d]
+    return entry["generic_flat_band"]
 
 
 class TestBands:
@@ -545,6 +607,41 @@ class TestErrorPaths:
         with pytest.raises(error):
             main(["analyze", lieb_json_path])
 
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_a_closed_stdout_ends_quietly(self, capsys, monkeypatch, lieb_json_path,
+                                          failing):
+        # a reader that went away (`| head`) is no input error: one documented
+        # exit code and nothing on stderr, whether the report breaks the pipe
+        # while it is written or when the buffered rest is flushed
+        class ClosedPipe:
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["analyze", lieb_json_path])
+        monkeypatch.undo()
+        assert code == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_a_pipe_closed_by_the_reader_leaves_stderr_empty(self, tmp_path):
+        # 300 edgeless orbits print about 280 kB, more than a pipe holds
+        path = write_graph(tmp_path, "edgeless300.json", {
+            "dimension": 1,
+            "orbits": [{"id": str(k), "potential": 0} for k in range(300)],
+        })
+        proc = subprocess.Popen([sys.executable, "-m", "flatbands", "analyze", path],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "command: analyze\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (EXIT_BROKEN_PIPE, "")
+
     def test_polytope_of_a_thousand_edgeless_orbits(self, capsys, tmp_path):
         # a recursive minor expansion ends here in a RecursionError traceback
         path = write_graph(tmp_path, "edgeless1100.json", {
@@ -558,6 +655,17 @@ class TestErrorPaths:
 
 def _refuse_factoring(p):
     raise RuntimeError("factor_rational must not run")
+
+
+def _labelings_until_settled(t: int, seed: int = 0, trials: int = 5) -> int:
+    """Labelings `verify-theorem` draws for its graph t: up to the first "no"."""
+    graph = random_periodic_graph(rng_for(seed, "graph", t), dims=(1, 2),
+                                  max_orbits=4, max_edges=6)
+    for k in range(trials):
+        labeling = random_labeling(graph, rng_for(f"{seed}/alg/{t}", "decision", k))
+        if not flat_bands_of(graph, labeling).has_flat_band:
+            return k + 1
+    return trials
 
 
 class TestExactWorkPerCommand:
@@ -636,6 +744,7 @@ class TestExactWorkPerCommand:
     ])
     def test_exact_commands_make_one_laurent_poly_per_dispersion(
             self, capsys, monkeypatch, lieb_json_path, argv):
+        labelings = 4 if "generic" in argv else sum(map(_labelings_until_settled, range(5)))
         counts = {"matrices": 0, "polys": 0, "dispersions": 0, "permanents": 0,
                   "floquet": 0, "decoded": 0}
 
@@ -662,12 +771,13 @@ class TestExactWorkPerCommand:
         assert code == EXIT_OK
         # the decisions stay in integers: each labeling is one integer
         # determinant, with no Floquet matrix and no Laurent polynomial
-        # (4 trials of generic; 5 graphs of 5 trials for verify-theorem).
+        # (4 trials of generic; for verify-theorem, each of the 5 graphs
+        # up to its first labeling without a flat band, at most 5).
         # The generic support of each verify-theorem graph is one more run
         # of the same expander, as the permanent of the pattern.
         permanents = 0 if "generic" in argv else 5
         assert counts["permanents"] == permanents
-        assert counts["dispersions"] == (4 if "generic" in argv else 25) + permanents
+        assert counts["dispersions"] == labelings + permanents
         assert counts["matrices"] == counts["polys"] == 0
         assert counts["floquet"] == counts["decoded"] == 0
 

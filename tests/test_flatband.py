@@ -6,17 +6,20 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatbands import laurent, unipoly
+from flatbands import flatband, laurent, unipoly
 from flatbands.flatband import (
     FlatBandReport,
+    _trial_reports,
+    _verdict,
     flat_bands,
     flat_bands_of,
     generic_flat_band_decision,
     inheritance_check,
     lam_slices_of,
+    settled_verdict,
     vertical_segment_face_witness,
 )
-from flatbands.floquet import FloquetMatrix, dispersion_polynomial
+from flatbands.floquet import FloquetMatrix, PencilTemplate, dispersion_polynomial
 from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
 from flatbands.graphio import load_graph_file
 from flatbands.laurent import LaurentPoly, det_bareiss, format_poly
@@ -312,6 +315,56 @@ def test_generic_decision_flat_graph():
     decision = generic_flat_band_decision(g, trials=3, seed=0)
     assert decision.consistent
     assert decision.has_flat_band is True
+
+
+def test_verdict_rule():
+    # the answer every trial gave; a "flat" draw and a "no" draw disagree
+    assert _verdict([False]) is False
+    assert _verdict([True, False]) is None
+    assert _verdict([False, True]) is None
+    for k in range(1, 6):
+        assert _verdict([True] * k) is True
+        assert _verdict([False] * k) is False
+
+
+@pytest.mark.parametrize("answers, read, verdict", [
+    ([False, True, True], 1, False),
+    ([True, False, True], 2, None),
+    ([True, True, True], 3, True),
+])
+def test_settled_verdict_stops_at_the_first_no(monkeypatch, answers, read, verdict):
+    # no report is read after the first without a flat band, and the
+    # unanimity rule holds over the ones that were
+    seen = []
+
+    def reports(template, trials, seed):
+        assert (template, trials, seed) == ("template", len(answers), 7)
+        for answer in answers:
+            seen.append(answer)
+            yield FlatBandReport((Fraction(0), Fraction(1)) if answer else (Fraction(1),), ())
+
+    monkeypatch.setattr(flatband, "_trial_reports", reports)
+    assert settled_verdict("template", len(answers), 7) is verdict
+    assert len(seen) == read
+
+
+def test_trial_loop_draws_lazily_on_one_template(lieb_graph, monkeypatch):
+    # the decision reads the loop to the end; a reader that stops after one
+    # report has packed one labeling
+    decision = generic_flat_band_decision(lieb_graph, trials=4, seed=11)
+    fills = []
+    fill = laurent.PackedTemplate.fill
+
+    def counted(self, values):
+        fills.append(len(values))
+        return fill(self, values)
+
+    monkeypatch.setattr(laurent.PackedTemplate, "fill", counted)
+    reports = _trial_reports(PencilTemplate(lieb_graph), 4, 11)
+    assert next(reports) == decision.reports[0]
+    assert len(fills) == 1
+    assert (next(reports), *reports) == decision.reports[1:]
+    assert len(fills) == 4
 
 
 def test_generic_decision_validates_trials(lieb_graph):

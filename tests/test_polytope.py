@@ -352,6 +352,7 @@ def test_cofactor_witness_matches_two_sample_oracle(graph):
 @settings(max_examples=200, deadline=None)
 def test_generic_support_matches_sampled_labelings(graph):
     support = generic_support(graph)
+    assert generic_support(floquet.PencilTemplate(graph)) == support
     assert support == _sampled_support(graph, trials=8, seed="support")
     # labels of 0 and +-1 cancel terms, but never add one outside the support
     rng = rng_for("support", "degenerate")
