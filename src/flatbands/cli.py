@@ -11,7 +11,8 @@ Exit codes: 0 success / no flat band, 2 input error, 3 internal error (a
 broken invariant, reported in one line), 10 flat band found
 (or, for the sweep, an oracle disagreement), 11 inconsistent random
 trials (rerun with another seed), 141 stdout closed before the report
-was written (as in `| head`; nothing goes to stderr).
+was written (as in `| head`; nothing goes to stderr).  A closed stderr
+changes no exit code.
 """
 
 from __future__ import annotations
@@ -173,14 +174,13 @@ def _full_ladder(graph: PeriodicGraph) -> set[tuple[int, ...]]:
 # subcommands
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     spec = load_graph_file(args.file)
     labeling = resolve_labeling(spec, args.labels, args.seed)
     matrix = FloquetMatrix(spec.graph, labeling)
     dispersion = matrix.dispersion()
     report = flat_bands(dispersion)
-    exit_code = EXIT_FLAT_BAND if report.has_flat_band else EXIT_OK
-    document = {
+    return {
         "command": "analyze",
         "seed": args.seed,
         "labels_mode": args.labels,
@@ -191,13 +191,11 @@ def cmd_analyze(args) -> int:
         ],
         "dispersion": format_poly(dispersion),
         "flat_bands": _flatband_section(report),
-        "exit_code": exit_code,
+        "exit_code": EXIT_FLAT_BAND if report.has_flat_band else EXIT_OK,
     }
-    emit(document, args.json)
-    return exit_code
 
 
-def cmd_generic(args) -> int:
+def cmd_generic(args) -> dict:
     if args.trials < 1:
         raise GraphFormatError("--trials must be at least 1")
     spec = load_graph_file(args.file)
@@ -208,7 +206,7 @@ def cmd_generic(args) -> int:
         exit_code = EXIT_FLAT_BAND
     else:
         exit_code = EXIT_OK
-    document = {
+    return {
         "command": "generic",
         "seed": args.seed,
         "trials": args.trials,
@@ -218,11 +216,9 @@ def cmd_generic(args) -> int:
         "generic_flat_band": decision.has_flat_band,
         "exit_code": exit_code,
     }
-    emit(document, args.json)
-    return exit_code
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> dict:
     spec = load_graph_file(args.file)
     graph = spec.graph
     support = generic_support(graph)
@@ -263,11 +259,10 @@ def cmd_polytope(args) -> int:
         document["faces"] = faces
         document["facial_note"] = "facial polynomials shown for one representative random labeling"
     document["exit_code"] = EXIT_OK
-    emit(document, args.json)
-    return EXIT_OK
+    return document
 
 
-def cmd_verify_theorem(args) -> int:
+def cmd_verify_theorem(args) -> dict:
     try:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError:
@@ -330,7 +325,7 @@ def cmd_verify_theorem(args) -> int:
         exit_code = EXIT_INCONSISTENT
     else:
         exit_code = EXIT_OK
-    document = {
+    return {
         "command": "verify-theorem",
         "seed": args.seed,
         "count": args.count,
@@ -350,8 +345,6 @@ def cmd_verify_theorem(args) -> int:
         },
         "exit_code": exit_code,
     }
-    emit(document, args.json)
-    return exit_code
 
 
 def _check_float_labels(spec: GraphSpec, labeling: Labeling) -> None:
@@ -372,7 +365,7 @@ def _check_float_labels(spec: GraphSpec, labeling: Labeling) -> None:
             raise GraphFormatError(f"{name} is outside the float range that bands samples in")
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args) -> dict:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise GraphFormatError("--tol must be a positive finite number")
     spec = load_graph_file(args.file)
@@ -421,8 +414,7 @@ def cmd_bands(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             write_csv(sample, handle)
         document["csv"] = args.out
-    emit(document, args.json)
-    return EXIT_OK
+    return document
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +487,16 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
-def _drop_stdout() -> None:
-    """Point the stdout file descriptor at devnull after a broken pipe.
+def _drop(stream) -> None:
+    """Point a standard stream's file descriptor at devnull once it broke.
 
     Output still buffered is then flushed into devnull at interpreter
     exit, with no second `BrokenPipeError` (the recipe in the `signal`
-    module docs).  A stdout with no file descriptor, such as an
+    module docs).  A stream with no file descriptor, such as an
     in-process caller's buffer, is left alone.
     """
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -526,26 +518,26 @@ def main(argv=None) -> int:
         "bands": cmd_bands,
     }[args.subcommand]
     try:
-        exit_code = handler(args)
+        report = handler(args)
+        emit(report, args.json)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
-        return exit_code
     except BrokenPipeError:
         # the reader of stdout went away (`| head`): nothing is wrong with the
         # input, and there is no one left to tell
-        _drop_stdout()
+        _drop(sys.stdout)
         return EXIT_BROKEN_PIPE
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    except (OSError, ValueError) as exc:
-        # GraphFormatError is a ValueError
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except Exception as exc:
-        # a broken invariant guard or exhausted memory: report it as a bug,
-        # not a traceback; KeyboardInterrupt and SystemExit pass through
-        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+    except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
+        # a broken invariant guard or exhausted memory is a bug, reported in
+        # one line; any other OSError or ValueError (GraphFormatError) is input
+        internal = isinstance(exc, InvariantError) or not isinstance(exc, (OSError, ValueError))
+        try:
+            sys.stderr.write(f"{'internal' if internal else 'input'} error: "
+                             f"{str(exc) or type(exc).__name__}\n")
+            sys.stderr.flush()
+        except (AttributeError, OSError):  # None when started without fd 2, or no reader
+            _drop(sys.stderr)
+        return EXIT_INTERNAL_ERROR if internal else EXIT_INPUT_ERROR
+    return report["exit_code"]
 
 
 if __name__ == "__main__":

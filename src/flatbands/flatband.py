@@ -127,7 +127,7 @@ class InvariantError(ValueError):
     """
 
 
-def _check_monic_in_lam(poly: LaurentPoly) -> int:
+def _check_monic_in_lam(poly: LaurentPoly) -> None:
     terms = poly._terms
     degree = max((key[-1] for key in terms), default=-1)
     if degree < 1:
@@ -136,7 +136,6 @@ def _check_monic_in_lam(poly: LaurentPoly) -> int:
     if abs(terms.get(lead, 0)) != 1 or any(
             key[-1] == degree for key in terms if key != lead):
         raise InvariantError("input is not monic (up to sign) in lam")
-    return degree
 
 
 def lam_slices_of(dispersion: LaurentPoly) -> tuple[tuple[int, ...], ...]:
@@ -155,7 +154,7 @@ def _dense(coefficients: dict[int, object]) -> list:
     return dense
 
 
-def _report(slices: Sequence[Sequence[int]], degree: int) -> FlatBandReport:
+def _report(slices: Sequence[Sequence[int]]) -> FlatBandReport:
     """The gcd core: the monic gcd of the integer slices, taken in order.
 
     The gcd exits early once it collapses to 1.  The first slice belongs
@@ -164,15 +163,14 @@ def _report(slices: Sequence[Sequence[int]], degree: int) -> FlatBandReport:
     fewer steps than lowest lam-degree first.  Factoring g, and the
     re-verification of every rational root on the slices, wait until the
     report's roots or factors are read.  Both callers check the
-    lam-leading term first, so there is always a nonzero slice.
+    lam-leading term first, so there is always a nonzero slice, and g,
+    which divides it, has at most the dispersion's lam degree.
     """
     g: tuple[int, ...] = ()
     for p in slices:
         g = unipoly._primitive_gcd(g, unipoly._int_primitive(p))
         if len(g) == 1:
             break
-    if len(g) - 1 > degree:
-        raise AssertionError("flat-band polynomial exceeds the lam degree")
     lead = g[-1]
     return FlatBandReport(tuple([Fraction(c, lead) for c in g]), tuple(slices))
 
@@ -184,8 +182,8 @@ def flat_bands(dispersion: LaurentPoly) -> FlatBandReport:
     are grouped by z-part into primitive integer lam-slices, sorted by
     z-part, and handed to the integer gcd core.
     """
-    degree = _check_monic_in_lam(dispersion)
-    return _report(lam_slices_of(dispersion), degree)
+    _check_monic_in_lam(dispersion)
+    return _report(lam_slices_of(dispersion))
 
 
 def _packed_report(pencil: PackedPencil) -> FlatBandReport:
@@ -217,7 +215,7 @@ def _packed_report(pencil: PackedPencil) -> FlatBandReport:
             groups[z_part] = {b: value}
         else:
             group[b] = value
-    return _report([_dense(groups[z_part]) for z_part in sorted(groups)], n)
+    return _report([_dense(groups[z_part]) for z_part in sorted(groups)])
 
 
 def flat_bands_of(graph: PeriodicGraph, labeling: Labeling) -> FlatBandReport:

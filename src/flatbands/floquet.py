@@ -20,7 +20,8 @@ alone are the pencil's 0/1 pattern, whose permanent
 `FloquetMatrix` packs its template on the first `dispersion()` call;
 every other runtime reader of the pencil (the band grid, permutation
 products) reads the template's `triples`.  The Laurent matrix `matrix`
-holds L(z) alone and is built only when something reads it.
+holds L(z) alone and is built only when something reads it; its empty
+cells share one zero `LaurentPoly`.
 """
 
 from __future__ import annotations
@@ -113,13 +114,15 @@ class FloquetMatrix:
         """L(z) as a Laurent matrix, built on first read."""
         if self._matrix is None:
             d = self.graph.dimension
+            zero = LaurentPoly.zero(d)
             entries = []
             for row in self._template.triples(self.labeling):
-                terms: list[dict] = [{} for _ in range(self.size)]
+                terms: dict[int, dict] = {}
                 for col, key, coeff in row:
                     if key[-1] == 0:
-                        terms[col][key] = coeff
-                entries.append([LaurentPoly._from_terms(d, t) for t in terms])
+                        terms.setdefault(col, {})[key] = coeff
+                cells = {col: LaurentPoly._from_terms(d, t) for col, t in terms.items()}
+                entries.append([cells.get(col, zero) for col in range(self.size)])
             object.__setattr__(self, "_matrix", LaurentMatrix(entries))
         return self._matrix
 

@@ -341,5 +341,5 @@ class Labeling:
         weights = {}
         for i, j, a in self.graph.edge_classes:
             if i in index and j in index:
-                weights[canonicalize_edge(index[i], index[j], a)] = self.weights[(i, j, a)]
+                weights[(index[i], index[j], a)] = self.weights[(i, j, a)]
         return sub, Labeling(sub, pots, weights), index

@@ -642,6 +642,58 @@ class TestErrorPaths:
         proc.stderr.close()
         assert (proc.wait(), err) == (EXIT_BROKEN_PIPE, "")
 
+    @pytest.mark.parametrize("fault", ["input", "internal"])
+    def test_a_closed_stderr_keeps_the_exit_code(self, capsys, monkeypatch, tmp_path,
+                                                 lieb_json_path, fault):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def exhausted(pencil):
+            raise MemoryError
+
+        if fault == "input":
+            path, expected = str(tmp_path / "missing.json"), EXIT_INPUT_ERROR
+        else:
+            monkeypatch.setattr(laurent, "det_packed", exhausted)
+            path, expected = lieb_json_path, EXIT_INTERNAL_ERROR
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        code = main(["analyze", path])
+        monkeypatch.undo()
+        assert code == expected
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("stderr", ["closed at start", "pipe with no reader"])
+    @pytest.mark.parametrize("fault", ["input", "internal"])
+    def test_a_child_with_no_stderr_keeps_the_exit_code(self, tmp_path, lieb_json_path,
+                                                         stderr, fault):
+        # not 1 (an uncaught BrokenPipeError) nor 120 (one at interpreter exit),
+        # and no error line moved to stdout
+        if fault == "input":
+            argv = ["-m", "flatbands", "analyze", str(tmp_path / "missing.json")]
+        else:  # the dispersion kernel runs out of memory
+            argv = ["-c", "import sys\n"
+                          "from flatbands import cli, laurent\n"
+                          "def exhausted(pencil):\n"
+                          "    raise MemoryError\n"
+                          "laurent.det_packed = exhausted\n"
+                          "sys.exit(cli.main(sys.argv[1:]))",
+                    "analyze", lieb_json_path]
+        if stderr == "closed at start":  # the child's `sys.stderr` is None
+            proc = subprocess.Popen(["sh", "-c", '"$@" 2>&-', "sh", sys.executable, *argv],
+                                    stdout=subprocess.PIPE, text=True)
+        else:
+            proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+            proc.stderr.close()
+        out = proc.stdout.read()
+        proc.stdout.close()
+        expected = EXIT_INPUT_ERROR if fault == "input" else EXIT_INTERNAL_ERROR
+        assert (proc.wait(), out) == (expected, "")
+
     def test_polytope_of_a_thousand_edgeless_orbits(self, capsys, tmp_path):
         # a recursive minor expansion ends here in a RecursionError traceback
         path = write_graph(tmp_path, "edgeless1100.json", {

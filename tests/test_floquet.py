@@ -7,6 +7,7 @@ entry-by-entry Laurent build, is the oracle of the packed build.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,25 @@ def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):
     matrix.dispersion()
     assert matrix._matrix is None
     assert matrix.matrix is matrix.matrix
+
+
+def test_a_sparse_laurent_matrix_holds_no_polynomial_per_empty_cell():
+    # 400 edgeless orbits: 160000 cells, 400 of them nonzero.  A polynomial
+    # per cell takes about 20 MB here; a shared zero leaves the two n x n
+    # grids of references (the rows and the matrix's tuples), about 2.6 MB.
+    n = 400
+    graph = PeriodicGraph(1, n)
+    matrix = FloquetMatrix(graph, Labeling(graph, list(range(1, n + 1)), {}))
+    tracemalloc.start()
+    try:
+        entries = matrix.matrix.entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert [entries[v][v] for v in range(n)] == [
+        LaurentPoly.constant(1, v + 1) for v in range(n)]
+    assert entries[0][1] == LaurentPoly.zero(1)
 
 
 def test_pencil_is_packed_on_the_first_dispersion(monkeypatch, lieb_graph, lieb_labeling):
