@@ -15,11 +15,10 @@ from .flatband import (FlatBandReport, GenericFlatBandDecision, InheritanceResul
                        vertical_segment_face_witness)
 from .floquet import (FloquetMatrix, dispersion_polynomial, induced_dispersion,
                       induced_operator)
-from .graph import (EdgeClass, Labeling, PeriodicGraph, QuotientGraph,
-                    ShiftAssignment, canonicalize_edge, components,
-                    find_support_zero_component, has_support_zero_domain,
-                    induced_subgraph, is_support_zero, quotient_graph, reshift,
-                    support_of_subset)
+from .graph import (EdgeClass, Labeling, PeriodicGraph, ShiftAssignment,
+                    canonicalize_edge, components, find_support_zero_component,
+                    has_support_zero_domain, induced_subgraph, is_support_zero,
+                    reshift, support_of_subset)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, load_graph_text, parse_graph_spec)
 from .laurent import (LaurentMatrix, LaurentPoly, det_bareiss, det_leibniz,
@@ -40,7 +39,7 @@ __all__ = [
     "GenericFlatBandDecision", "GraphFormatError",
     "GraphSpec", "InheritanceResult", "IrreducibleFactor", "Labeling",
     "LaurentMatrix", "LaurentPoly", "NewtonPolytopeData", "PeriodicGraph",
-    "QuotientGraph", "ShiftAssignment",
+    "ShiftAssignment",
     "canonicalize_edge", "components", "cut_edge_certificate", "det_bareiss",
     "det_leibniz", "determinant", "dispersion_polynomial", "evaluate_z",
     "extreme_points", "face_of", "facial_independence_witness", "facial_polynomial",
@@ -50,7 +49,7 @@ __all__ = [
     "induced_dispersion", "induced_operator", "induced_subgraph", "inheritance_check",
     "is_support_zero", "is_vertical_segment", "load_graph_file", "load_graph_text",
     "minkowski_sum", "newton_polytope_data", "numeric_flat_flags", "parse_graph_spec",
-    "permutation_product", "quotient_graph", "random_labeling",
+    "permutation_product", "random_labeling",
     "random_periodic_graph", "random_rational", "reshift", "resultant", "rng_for",
     "sample_bands", "sigma_support_check", "support_of_subset", "sylvester_matrix",
     "symmetric_jacobi", "tame_real_labeling", "vertical_faces",

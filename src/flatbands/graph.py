@@ -92,55 +92,47 @@ class PeriodicGraph:
     def sorted_edges(self) -> list[EdgeClass]:
         return sorted(self.edge_classes)
 
-    def classes_between(self, i: int, j: int) -> list[EdgeClass]:
-        """All stored classes joining orbits i and j (order-insensitive)."""
-        lo, hi = min(i, j), max(i, j)
-        return sorted(e for e in self.edge_classes if (e[0], e[1]) == (lo, hi))
 
+def _union_find(num_orbits: int, edges: Iterable[EdgeClass]) -> tuple[list[int], int | None]:
+    """Join the ends of every edge class in one union-find with path halving.
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Forget the offsets: multigraph on the orbit set.
-
-    ``multi_edges`` keeps one entry per edge class, so parallel classes
-    show up as parallel edges; ``simple_edges`` collapses them.
+    Returns each orbit's root, equal exactly for orbits in one component
+    of the quotient graph, and the index in ``edges`` of the first class
+    whose ends were already joined, that is the first to close a cycle
+    (a self class always does), or None when the quotient is a forest.
     """
+    parent = list(range(num_orbits))
 
-    num_orbits: int
-    multi_edges: tuple[tuple[int, int], ...]
-    simple_edges: frozenset[tuple[int, int]]
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-
-def quotient_graph(graph: PeriodicGraph) -> QuotientGraph:
-    multi = tuple((i, j) for i, j, _ in graph.sorted_edges())
-    return QuotientGraph(
-        num_orbits=graph.num_orbits,
-        multi_edges=multi,
-        simple_edges=frozenset((i, j) for i, j in multi if i != j),
-    )
+    cycle_edge = None
+    for k, (i, j, _) in enumerate(edges):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+        elif cycle_edge is None:
+            cycle_edge = k
+    return list(map(root, range(num_orbits))), cycle_edge
 
 
 def components(graph: PeriodicGraph) -> tuple[frozenset[int], ...]:
-    """Connected components of the quotient graph, sorted by least orbit."""
-    adjacency: dict[int, set[int]] = {v: set() for v in range(graph.num_orbits)}
-    for i, j, _ in graph.edge_classes:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    unseen = set(range(graph.num_orbits))
-    blocks = []
-    while unseen:
-        root = min(unseen)
-        block = {root}
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in block:
-                    block.add(w)
-                    frontier.append(w)
-        unseen -= block
-        blocks.append(frozenset(block))
-    return tuple(sorted(blocks, key=min))
+    """Connected components of the quotient graph, sorted by least orbit.
+
+    Orbits are read in increasing order, so each block is first met at its
+    least orbit and the dict keeps the blocks in sorted order.
+    """
+    roots, _ = _union_find(graph.num_orbits, graph.edge_classes)
+    blocks: dict[int, list[int]] = {}
+    for v, r in enumerate(roots):
+        if r in blocks:
+            blocks[r].append(v)
+        else:
+            blocks[r] = [v]
+    return tuple(map(frozenset, blocks.values()))
 
 
 def support_of_subset(graph: PeriodicGraph, subset: Iterable[int]) -> frozenset[tuple[int, ...]]:

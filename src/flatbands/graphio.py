@@ -195,6 +195,8 @@ def load_graph_text(text: str) -> GraphSpec:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError("invalid JSON: nested too deeply to decode") from exc
     return parse_graph_spec(document)
 
 

@@ -619,10 +619,10 @@ def det_bareiss(matrix: LaurentMatrix) -> LaurentPoly:
 def determinant(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
     """Exact determinant as a `LaurentPoly`, by `det_leibniz`.
 
-    On the sparse Floquet pencils of the benchmark corpus (n = 4..8) the
-    integer expansion is 10-100x faster than Bareiss elimination, whose
-    intermediate entries grow dense.  The exact decisions run the same
-    expansion, `det_packed`, and skip the decode.
+    The name exists as the one dispersion entry: `FloquetMatrix.dispersion`
+    calls it, and the benchmark tracer's ``laurent.det`` span wraps it.
+    The exact decisions run the same expansion, `det_packed`, and skip
+    the decode.
     """
     return det_leibniz(matrix)
 

@@ -59,13 +59,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import AbstractSet, Iterable, Sequence
 
 from .floquet import FloquetMatrix, PencilTemplate
 from .graph import Labeling, PeriodicGraph
-from .laurent import LaurentPoly, _row_masks, support_leibniz
+from .laurent import LaurentPoly, _coerce, _row_masks, support_leibniz
 
 Point = tuple[int, ...]
 
@@ -152,7 +151,7 @@ def in_convex_hull(point: Sequence[int], points: Iterable[Point]) -> bool:
     rows.append([1] * (len(pts) + 1))
     for k, row in enumerate(rows):
         if not all(type(x) is int for x in row):
-            values = [Fraction(x) for x in row]
+            values = [_coerce(x) for x in row]
             scale = math.lcm(*(x.denominator for x in values))
             rows[k] = [x.numerator * (scale // x.denominator) for x in values]
     return _phase1_feasible_int(rows)
@@ -251,6 +250,14 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
     if not pts:
         return frozenset()
     _common_length(pts)
+    if not all(type(x) is int for p in pts for x in p):
+        # the packing below is injective on ints only; one common scale
+        # makes every point integral and keeps which points are vertices
+        exact = [[_coerce(x) for x in p] for p in pts]
+        scale = math.lcm(*(x.denominator for p in exact for x in p))
+        scaled = {tuple(x.numerator * (scale // x.denominator) for x in q): p
+                  for q, p in zip(exact, pts)}
+        return frozenset(scaled[v] for v in extreme_points(scaled))
     lows = [min(axis) for axis in zip(*pts)]
     span = max(max(axis) - low for axis, low in zip(zip(*pts), lows))
     powers = [(3 * span + 1) ** k for k in range(len(lows))]

@@ -15,8 +15,8 @@ from typing import Sequence
 
 from . import unipoly
 from .floquet import dispersion_polynomial, induced_dispersion
-from .graph import Labeling, PeriodicGraph, is_support_zero, quotient_graph
-from .laurent import _evaluate
+from .graph import Labeling, PeriodicGraph, _union_find, is_support_zero
+from .laurent import _coerce, _evaluate
 from .unipoly import Coeffs
 
 
@@ -81,7 +81,7 @@ def evaluate_z(poly, z0: Sequence) -> Coeffs:
     Returns ascending lam-coefficients; every coordinate of z0 must be a
     nonzero rational so negative exponents stay exact.
     """
-    z = [Fraction(c) for c in z0]
+    z = [_coerce(c) for c in z0]
     if len(z) != poly.dimension:
         raise ValueError(f"z0 has {len(z)} coordinates, expected {poly.dimension}")
     if any(c == 0 for c in z):
@@ -108,29 +108,12 @@ def cut_edge_certificate(graph: PeriodicGraph, subset: Sequence[int],
     # A connected multigraph has only bridges exactly when no edge (a
     # self-class included) closes a cycle, so one union-find pass decides
     # both connectivity and the bridge condition.
-    parent = list(range(n))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    cycle_edge = None
-    blocks = n
-    for k, (i, j) in enumerate(quotient_graph(graph).multi_edges):
-        a, b = root(i), root(j)
-        if a != b:
-            parent[a] = b
-            blocks -= 1
-        elif cycle_edge is None:
-            cycle_edge = k
-    if blocks != 1:
+    edges = graph.sorted_edges()
+    roots, cycle_edge = _union_find(n, edges)
+    if len(set(roots)) != 1:
         raise ValueError("quotient graph is not connected")
     if cycle_edge is not None:
-        raise ValueError(
-            f"non-bridge edge found in the quotient graph: {graph.sorted_edges()[cycle_edge]}"
-        )
+        raise ValueError(f"non-bridge edge found in the quotient graph: {edges[cycle_edge]}")
     for edge, weight in labeling.weights.items():
         if weight == 0:
             raise ValueError(f"zero weight on {edge}")

@@ -17,11 +17,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .laurent import _coerce
+
 Coeffs = tuple[Fraction, ...]
 
 
 def normalize(coefficients: Sequence) -> Coeffs:
-    coeffs = [Fraction(c) for c in coefficients]
+    coeffs = [_coerce(c) for c in coefficients]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -40,7 +42,7 @@ def add(p: Coeffs, q: Coeffs) -> Coeffs:
 
 
 def scale(p: Coeffs, factor) -> Coeffs:
-    return normalize([c * Fraction(factor) for c in p])
+    return normalize([c * _coerce(factor) for c in p])
 
 
 def mul(p: Coeffs, q: Coeffs) -> Coeffs:
@@ -54,7 +56,7 @@ def mul(p: Coeffs, q: Coeffs) -> Coeffs:
 
 
 def evaluate(p: Coeffs, x) -> Fraction:
-    x = Fraction(x)
+    x = _coerce(x)
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
@@ -89,7 +91,7 @@ def primitive_part(p: Sequence) -> tuple[int, ...]:
 
     Trailing zeros are dropped first; the zero polynomial gives ().
     """
-    p = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in p]
+    p = [c if type(c) is int else _coerce(c) for c in p]
     denom = math.lcm(*[c.denominator for c in p])
     return _int_primitive([c.numerator * (denom // c.denominator) for c in p])
 

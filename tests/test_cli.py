@@ -466,6 +466,14 @@ class TestErrorPaths:
         assert code == EXIT_INPUT_ERROR
         assert "invalid JSON" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "input error: invalid JSON: nested too deeply to decode\n"
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

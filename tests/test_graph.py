@@ -1,6 +1,8 @@
 """Periodic graph structure, support-zero searches, and labelings."""
 
 import random
+import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from flatbands.graph import (
     has_support_zero_domain,
     induced_subgraph,
     is_support_zero,
-    quotient_graph,
     reshift,
     support_of_subset,
 )
@@ -74,20 +75,6 @@ def test_graph_equality_ignores_edge_order(lieb_graph):
     assert hash(reordered) == hash(lieb_graph)
 
 
-def test_classes_between(lieb_graph):
-    assert lieb_graph.classes_between(2, 1) == [
-        (1, 2, (0, -1)),
-        (1, 2, (0, 0)),
-    ]
-
-
-def test_quotient_graph_collapses_offsets(lieb_graph):
-    q = quotient_graph(lieb_graph)
-    assert q.num_orbits == 3
-    assert sorted(q.multi_edges) == [(0, 1), (0, 1), (1, 2), (1, 2)]
-    assert q.simple_edges == {(0, 1), (1, 2)}
-
-
 def test_components_split_and_sort():
     g = PeriodicGraph(1, 5, [(0, 3, (0,)), (1, 4, (1,))])
     assert components(g) == (
@@ -95,6 +82,52 @@ def test_components_split_and_sort():
         frozenset({1, 4}),
         frozenset({2}),
     )
+
+
+def _bfs_components(graph):
+    """Plain breadth-first search from each unseen orbit in turn: the reference."""
+    adjacency = {v: set() for v in range(graph.num_orbits)}
+    for i, j, _ in graph.edge_classes:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    seen = set()
+    blocks = []
+    for start in range(graph.num_orbits):
+        if start in seen:
+            continue
+        block = {start}
+        queue = deque([start])
+        while queue:
+            for w in adjacency[queue.popleft()]:
+                if w not in block:
+                    block.add(w)
+                    queue.append(w)
+        seen |= block
+        blocks.append(frozenset(block))
+    return tuple(blocks)
+
+
+def test_components_match_a_breadth_first_search():
+    rng = random.Random(24)
+    for _ in range(5000):
+        graph = random_periodic_graph(rng, max_orbits=7, max_edges=8)
+        assert components(graph) == _bfs_components(graph)
+    for n in (1, 2, 5, 12):
+        edgeless = PeriodicGraph(1, n)
+        assert components(edgeless) == tuple(frozenset({v}) for v in range(n))
+        complete = PeriodicGraph(2, n, [(i, j, (0, 1)) for i in range(n) for j in range(i, n)])
+        assert components(complete) == (frozenset(range(n)),) == _bfs_components(complete)
+
+
+def test_components_of_many_edgeless_orbits_are_fast():
+    # a search restarted from the least unseen orbit per block is quadratic
+    # in the block count and takes seconds on 20000 blocks; one union-find
+    # pass takes milliseconds
+    graph = PeriodicGraph(1, 20000)
+    start = time.perf_counter()
+    blocks = components(graph)
+    assert time.perf_counter() - start < 1.0
+    assert blocks == tuple(frozenset({v}) for v in range(20000))
 
 
 def test_support_of_subset_is_symmetric(lieb_graph):

@@ -140,6 +140,13 @@ def test_load_graph_text_bad_json():
         load_graph_text("{not json")
 
 
+@pytest.mark.parametrize("text", ["[" * 200000, '{"a": ' * 200000], ids=["array", "object"])
+def test_load_graph_text_deeply_nested_json(text):
+    # the decoder recurses once per level and runs out of stack
+    with pytest.raises(GraphFormatError, match="invalid JSON: nested too deeply"):
+        load_graph_text(text)
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [

@@ -67,9 +67,44 @@ def test_in_convex_hull_degenerate_cases():
     assert not in_convex_hull((1, 2, 4), [(0, 0, 0), (2, 4, 6)])
 
 
+@pytest.mark.parametrize("point, points", [
+    ((0.5, 0.5), [(0, 0), (1, 1)]),
+    ((0, 0), [(0, 0.0), (1, 1)]),
+    ((True, 0), [(0, 0), (2, 0)]),
+], ids=["float-query", "float-point", "bool-query"])
+def test_in_convex_hull_refuses_floats_and_bools(point, points):
+    with pytest.raises(TypeError, match="not allowed"):
+        in_convex_hull(point, points)
+
+
 def test_extreme_points_square_with_interior():
     pts = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)]
     assert extreme_points(pts) == {(0, 0), (2, 0), (0, 2), (2, 2)}
+
+
+@pytest.mark.parametrize("points", [
+    [(0.5,), (1,), (0,)],
+    [(0, 0), (1, 1.0), (2, 0)],
+    [(True, 0), (0, 1), (0, 0)],
+], ids=["float-midpoint", "float-vertex", "bool"])
+def test_extreme_points_refuses_floats_and_bools(points):
+    with pytest.raises(TypeError, match="not allowed"):
+        extreme_points(points)
+
+
+def test_extreme_points_of_rational_points():
+    # the midpoint pass packs each point into one number, which is
+    # injective on ints only: unscaled, (3/2, 0) was taken for a midpoint
+    pts = [(Fraction(1, 3), Fraction(1, 4)), (Fraction(1), Fraction(0)),
+           (Fraction(3, 2), Fraction(0)), (Fraction(1, 2), Fraction(2, 3)),
+           (Fraction(1, 2), Fraction(1, 3))]
+    assert extreme_points(pts) == set(pts[:4])
+    rng = random.Random(7)
+    for _ in range(200):
+        ints = {tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(rng.randint(1, 8))}
+        k = rng.randint(2, 6)
+        assert extreme_points([tuple(Fraction(x, k) for x in p) for p in ints]) == {
+            tuple(Fraction(x, k) for x in v) for v in extreme_points(ints)}
 
 
 def test_minkowski_sum_and_hull_equality():

@@ -112,6 +112,22 @@ def test_evaluate_z():
         evaluate_z(poly, [1, 1])
 
 
+@pytest.mark.parametrize("z0", [[0.5, 1], [1, True], [F(1, 2), 2.0]],
+                         ids=["float", "bool", "fraction-and-float"])
+def test_evaluate_z_refuses_floats_and_bools(z0):
+    poly = LaurentPoly(2, {(1, 0, 0): 1, (0, 0, 1): 1})
+    with pytest.raises(TypeError, match="coefficients are not allowed"):
+        evaluate_z(poly, z0)
+
+
+@pytest.mark.parametrize("f, g", [([0.5, 1], [1, 1]), ([1, 1], [1, 1.0]),
+                                  ([False, 1], [1, 1])],
+                         ids=["float-f", "float-g", "bool"])
+def test_resultant_refuses_floats_and_bools(f, g):
+    with pytest.raises(TypeError, match="coefficients are not allowed"):
+        resultant(f, g)
+
+
 PATH_EDGES = [(0, 1, (1,)), (1, 2, (0,))]
 
 

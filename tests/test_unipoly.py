@@ -105,6 +105,32 @@ def test_factor_rejects_zero():
         unipoly.factor_rational(())
 
 
+@pytest.mark.parametrize("p", [(0.5, 1.0), (1, 2, 0.5), (1, 1, 1, 1, True)],
+                         ids=["linear-float", "quadratic-float", "quartic-bool"])
+def test_factor_rational_refuses_floats_and_bools(p):
+    with pytest.raises(TypeError, match="coefficients are not allowed"):
+        unipoly.factor_rational(p)
+
+
+@pytest.mark.parametrize("p, q", [([0.1, 1.0], [0.1, 1]), ([1, 1], [1, 0.5]),
+                                  ([True, 1], [1, 1])],
+                         ids=["floats", "one-float", "bool"])
+def test_gcd_refuses_floats_and_bools(p, q):
+    with pytest.raises(TypeError, match="coefficients are not allowed"):
+        unipoly.gcd(p, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: unipoly.normalize([1, 0.5]),
+    lambda: unipoly.evaluate((F(1), F(1)), 0.5),
+    lambda: unipoly.evaluate((F(1), F(1)), True),
+    lambda: unipoly.scale((F(1),), 2.0),
+], ids=["normalize", "evaluate-float", "evaluate-bool", "scale"])
+def test_conversions_refuse_floats_and_bools(call):
+    with pytest.raises(TypeError, match="coefficients are not allowed"):
+        call()
+
+
 coeff = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 poly = st.lists(coeff, max_size=5).map(unipoly.normalize)
 
@@ -174,6 +200,13 @@ def test_primitive_part():
     assert unipoly.primitive_part((F(1, 2), F(-3, 4), 0, 0)) == (-2, 3)
     assert unipoly.primitive_part([4, 6]) == (2, 3)
     assert unipoly.primitive_part((0, 0)) == ()
+
+
+@pytest.mark.parametrize("p", [[True, 2], [1, False], [1, 2.0], [0.5]],
+                         ids=["true", "false", "float", "lone-float"])
+def test_primitive_part_refuses_floats_and_bools(p):
+    with pytest.raises(TypeError, match="coefficients are not allowed"):
+        unipoly.primitive_part(p)
 
 
 def _sympy_factor(p):
