@@ -14,7 +14,8 @@ A graph file looks like::
     }
 
 Rationals are JSON integers or strings like "-3/4"; floats are refused
-because the whole pipeline is exact.  Potentials and weights may be
+because the whole pipeline is exact.  Orbit ids and the "from" and
+"to" of every edge are JSON strings.  Potentials and weights may be
 omitted, which leaves them to the caller (the CLI fills them randomly).
 Orbits are 1-indexed toward the user only through their ids; internally
 everything is 0-based in file order.
@@ -106,6 +107,16 @@ class GraphSpec:
         return Labeling(self.graph, pots, self.weights)
 
 
+def _orbit_name(value, where: str) -> str:
+    """An orbit id or edge end, which must be a JSON string."""
+    if not isinstance(value, str):
+        kind = ("null" if value is None else "a boolean" if isinstance(value, bool)
+                else "a number" if isinstance(value, (int, float))
+                else "an array" if isinstance(value, list) else "an object")
+        raise GraphFormatError(f"{where} must be a string, got {kind}")
+    return value
+
+
 def parse_graph_spec(document: dict) -> GraphSpec:
     """Validate a decoded JSON document into a GraphSpec."""
     if not isinstance(document, dict):
@@ -134,7 +145,7 @@ def parse_graph_spec(document: dict) -> GraphSpec:
             raise GraphFormatError(f"{where}: unknown fields {sorted(set(orbit) - {'id', 'potential'})}")
         if "id" not in orbit:
             raise GraphFormatError(f"{where}: missing id")
-        name = str(orbit["id"])
+        name = _orbit_name(orbit["id"], f"{where}.id")
         if name in ids:
             raise GraphFormatError(f"{where}: duplicate orbit id {name!r}")
         ids.append(name)
@@ -160,7 +171,7 @@ def parse_graph_spec(document: dict) -> GraphSpec:
             if field not in edge:
                 raise GraphFormatError(f"{where}: missing {field!r}")
         for side in ("from", "to"):
-            if str(edge[side]) not in index:
+            if _orbit_name(edge[side], f"{where}.{side}") not in index:
                 raise GraphFormatError(f"{where}: unknown orbit id {edge[side]!r}")
         offset = edge["offset"]
         if (not isinstance(offset, list) or len(offset) != dimension
@@ -168,7 +179,7 @@ def parse_graph_spec(document: dict) -> GraphSpec:
             raise GraphFormatError(
                 f"{where}: offset must be a list of {dimension} integers, got {offset!r}"
             )
-        i, j = index[str(edge["from"])], index[str(edge["to"])]
+        i, j = index[edge["from"]], index[edge["to"]]
         try:
             canonical = canonicalize_edge(i, j, offset)
         except ValueError as exc:

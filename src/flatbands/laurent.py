@@ -40,13 +40,16 @@ from typing import Iterable, Mapping, Sequence
 Exponent = tuple[int, ...]
 
 
-def _coerce(value) -> Fraction:
-    """``value`` as an exact `Fraction`; an exact `Fraction` is returned as it is."""
+def _coerce(value, what: str = "coefficients") -> Fraction:
+    """``value`` as an exact `Fraction`; an exact `Fraction` is returned as it is.
+
+    A float or bool is a TypeError that names `what` was refused.
+    """
     if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(
-            f"{type(value).__name__} coefficients are not allowed; use Fraction or int")
+            f"{type(value).__name__} {what} are not allowed; use Fraction or int")
     return Fraction(value)
 
 

@@ -2,17 +2,23 @@
 
 Points live in Z^(d+1): the first d coordinates are momentum exponents
 (the z-part) and the last is the lam exponent.  Hull computations are
-exact and run in integers: extreme points come from a phase-1 simplex on
-an integer tableau with one common denominator (Edmonds' fraction-free
-pivoting), so no tolerance and no Fraction ever enters.
+exact and run in integers, with no Fraction, no float and no tolerance.
 
-The LP is the expensive step, so `extreme_points` runs it on as few
-points as it can.  A support point that is the midpoint of two other
-support points is never a vertex, and one pass over the points packed
-into single integers finds all of those.  Each survivor is then tested
-against the points still in the running, a set that shrinks as
-non-vertices drop out; it always holds every vertex, so it decides each
-point as the full set would.
+`extreme_points` finds the vertices of conv(S) in three steps.  A point
+that is the midpoint of two other points is never a vertex, and one
+pass over the points packed into single integers drops all of those.
+Fraction-free elimination then finds the affine rank r of the rest and
+r pivot coordinates; projecting onto them is injective on the rest's
+affine hull, and an injective affine map keeps which points are
+vertices.  Rank 0 or 1 leaves the two end points, rank 2 the monotone
+chain `_hull_cycle_2d`, and rank 3 and up an integer beneath-beyond:
+simplicial facets with primitive integer outward normals, to which the
+points are added one at a time.  A point that strictly sees no facet
+lies in the hull of the points before it, so it is no vertex.  A point
+that sees some replaces them by the cone over the horizon.  At the end a
+facet vertex is a hull vertex exactly when the normals of its facets
+have rank r, which drops points inside a face or an edge.  The phase-1
+simplex of `in_convex_hull` is exact too, but no hull runs it.
 
 The generic support, the support of the dispersion D(z, lam) when every
 potential and weight is its own indeterminate, is computed exactly from
@@ -151,7 +157,7 @@ def in_convex_hull(point: Sequence[int], points: Iterable[Point]) -> bool:
     rows.append([1] * (len(pts) + 1))
     for k, row in enumerate(rows):
         if not all(type(x) is int for x in row):
-            values = [_coerce(x) for x in row]
+            values = [_coerce(x, "point coordinates") for x in row]
             scale = math.lcm(*(x.denominator for x in values))
             rows[k] = [x.numerator * (scale // x.denominator) for x in values]
     return _phase1_feasible_int(rows)
@@ -222,10 +228,15 @@ def _phase1_feasible_int(rows: list[list[int]]) -> bool:
     return all(table[i][-1] == 0 for i in range(m) if basis[i] >= n)
 
 
+# ---------------------------------------------------------------------------
+# hull vertices: midpoint pass, affine rank, integer beneath-beyond
+
+
 def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
     """Points not expressible as convex combinations of the others.
 
-    Two exact steps keep the LP count near the vertex count:
+    Rational points are first scaled by the lcm of their denominators,
+    which keeps which points are vertices.  Then three exact steps:
 
     - Midpoints go first.  If p = (a + b)/2 for support points a != b,
       then p is in conv(S without p) and is not a vertex.  In integers,
@@ -237,14 +248,17 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
       2 key(p) - key(a), and every coordinate of 2p - a lies in
       [-span, 2 span], a window of B values, on which the packing is
       injective.  So 2p - a is in S exactly when 2 key(p) - key(a) is
-      one of the keys.
-    - Every other point is tested with `in_convex_hull` against the
-      current candidates except itself, and dropped when inside.  The
-      candidates always contain the vertices V of conv(S): a vertex is
-      never inside the hull of other points.  For a non-vertex p,
-      conv(S without p) = conv(V) lies in conv(candidates without p),
-      so p is found inside either way; for a vertex neither hull holds
-      it.  The answer is therefore the one the full set would give.
+      one of the keys.  The vertices V of conv(S) all survive, and the
+      survivors' hull is conv(V) = conv(S), so its vertices are V.
+    - The affine rank r of the survivors and r pivot coordinates come
+      from `_independent_rows` on their differences to the first
+      survivor.  The projection onto the pivot coordinates is an affine
+      map, injective on the survivors' affine hull, so it maps their hull
+      onto the hull of the images and vertices onto vertices.
+    - For r <= 1 the vertices are the lexicographic least and greatest
+      survivors, the two ends of their segment.  For r = 2 they are the
+      points of `_hull_cycle_2d`, which drops collinear points, and for
+      r >= 3 those `_beneath_beyond` returns.
     """
     pts = sorted(set(points))
     if not pts:
@@ -253,7 +267,7 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
     if not all(type(x) is int for p in pts for x in p):
         # the packing below is injective on ints only; one common scale
         # makes every point integral and keeps which points are vertices
-        exact = [[_coerce(x) for x in p] for p in pts]
+        exact = [[_coerce(x, "point coordinates") for x in p] for p in pts]
         scale = math.lcm(*(x.denominator for p in exact for x in p))
         scaled = {tuple(x.numerator * (scale // x.denominator) for x in q): p
                   for q, p in zip(exact, pts)}
@@ -268,11 +282,179 @@ def extreme_points(points: Iterable[Point]) -> frozenset[Point]:
         p for p, key in zip(pts, keys)
         if not any(2 * key - other in present for other in keys if other != key)
     ]
-    for p in list(candidates):
-        others = [q for q in candidates if q != p]
-        if others and in_convex_hull(p, others):
-            candidates.remove(p)
-    return frozenset(candidates)
+    base = candidates[0]
+    independent, pivots = _independent_rows(
+        ([x - b for x, b in zip(p, base)] for p in candidates[1:]), len(base))
+    rank = len(pivots)
+    if rank <= 1:
+        # on a line the lexicographic order is the order along it
+        return frozenset((candidates[0], candidates[-1]))
+    projected = (candidates if rank == len(base)
+                 else [tuple(p[c] for c in pivots) for p in candidates])
+    if rank == 2:
+        back = dict(zip(projected, candidates))
+        return frozenset(back[v] for v in _hull_cycle_2d(projected))
+    simplex = [0] + [k + 1 for k in independent]
+    return frozenset(candidates[k] for k in _beneath_beyond(projected, simplex))
+
+
+def _independent_rows(rows: Iterable[Sequence[int]], limit: int) -> tuple[list[int], list[int]]:
+    """Indices of the rows that raise the rank, and the pivot column of each.
+
+    Fraction-free elimination, one row at a time.  A row is reduced by
+    the pivot rows found so far, in the order found: for pivot column c
+    and p = pivot[c], the row becomes p * row - row[c] * pivot, which
+    zeroes column c and leaves the earlier pivot columns at zero.  A row
+    left nonzero is independent of the rows before it.  Its first nonzero
+    column becomes its pivot, and it is divided by its content to keep
+    the integers small.  Stops once `limit` rows are found.
+
+    On the span of the rows, the projection onto the pivot columns is
+    injective: the pivot rows restricted to those columns form a
+    triangular matrix with a nonzero diagonal.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    found = []
+    for k, row in enumerate(rows):
+        for col, pivot in basis:
+            f = row[col]
+            if f:
+                p = pivot[col]
+                row = [p * x - f * y for x, y in zip(row, pivot)]
+        col = next((c for c, x in enumerate(row) if x), -1)
+        if col < 0:
+            continue
+        g = math.gcd(*row)
+        basis.append((col, [x // g for x in row]))
+        found.append(k)
+        if len(basis) == limit:
+            break
+    return found, [col for col, _ in basis]
+
+
+def _simplex_normals(pts: list[Point], simplex: list[int]) -> list[tuple[Point, int]]:
+    """Primitive outward normal and offset of each facet of a full simplex.
+
+    Facet j is the one opposite vertex simplex[j].  With v0 = pts[simplex[0]]
+    and M the r x r matrix of edge rows v_j - v0 (j = 1..r), a point x has
+    barycentric coordinates lam_j = col_j(M^-1).(x - v0) for j >= 1 and
+    lam_0 = 1 - sum lam_j, positive inside.  So the outward normal of facet
+    j >= 1 is -col_j(M^-1) and that of facet 0 is the sum of the columns:
+    up to a positive factor, the signed cofactors of the facet's r - 1
+    edge vectors (for r = 3, their cross product).  One fraction-free
+    Gauss-Jordan pass on [M | I] gives [diag(D) | diag(D) M^-1], and
+    scaling row i by lcm(D) / D_i makes M^-1 integral with a positive
+    factor.
+    """
+    r = len(pts[0])
+    v0 = pts[simplex[0]]
+    rows = [[x - b for x, b in zip(pts[j], v0)] + [int(i == k) for k in range(r)]
+            for i, j in enumerate(simplex[1:])]
+    for c in range(r):
+        p = next(i for i in range(c, r) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and f:
+                row = [pivot[c] * x - f * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row]
+    scale = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    inverse = [[x * (scale // row[i]) for x in row[r:]] for i, row in enumerate(rows)]
+    normals = [tuple(map(sum, inverse))]
+    normals += [tuple(-row[j] for row in inverse) for j in range(r)]
+    out = []
+    for j, normal in enumerate(normals):
+        normal = _primitive(normal)
+        # facet 0 holds simplex[1], and every other facet holds simplex[0]
+        out.append((normal, sum(map(mul, normal, pts[simplex[j == 0]]))))
+    return out
+
+
+class _Facet:
+    """A simplicial facet: `neighbours[i]` shares every vertex but `verts[i]`."""
+
+    __slots__ = ("verts", "normal", "offset", "neighbours")
+
+    def __init__(self, verts: tuple[int, ...], normal: Point, offset: int,
+                 neighbours: list):
+        self.verts = verts
+        self.normal = normal
+        self.offset = offset
+        self.neighbours = neighbours
+
+
+def _beneath_beyond(pts: list[Point], simplex: list[int]) -> list[int]:
+    """Indices of the vertices of conv(pts), for points spanning Z^r, r >= 3.
+
+    `simplex` holds r + 1 affinely independent indices.  The hull is kept
+    as simplicial facets, each with a primitive integer outward normal n
+    and offset c = n.v on its vertices, and each knows its neighbour
+    across every ridge.  Point q sees facet F when h_F(q) = n.q - c > 0.
+    A point that sees no facet lies in the current hull, so it is no
+    vertex and is passed over.  Otherwise the facets it sees go, and each
+    horizon ridge R, between a seen facet F and an unseen neighbour G,
+    gets the new facet R + q.  Its hyperplane is G's rotated about R:
+    h = h_F(q) h_G - h_G(q) h_F vanishes on R and at q.  Inside the hull
+    h_F and h_G are negative, and h_F(q) > 0 >= h_G(q), so h is negative
+    there too: the normal comes out outward, with no determinant.  Two new
+    facets meet across R' + q, where R' is a horizon ridge without one of
+    its vertices.
+
+    Facets in one hyperplane stay separate, so a point inside a face or
+    an edge of the final hull can stay a facet vertex.  A facet vertex is
+    a hull vertex exactly when the normals of its facets have rank r:
+    they span a space of dimension r minus that of the smallest face that
+    holds the point.  For r = 3 a point inside an edge or a 2-face has at
+    most two distinct normals, so three distinct ones suffice.
+    """
+    r = len(pts[0])
+    hull = [_Facet(tuple(u for u in simplex if u != v), normal, offset, [])
+            for v, (normal, offset) in zip(simplex, _simplex_normals(pts, simplex))]
+    opposite = dict(zip(simplex, hull))
+    for facet in hull:
+        facet.neighbours = [opposite[u] for u in facet.verts]
+    start = set(simplex)
+    for k, q in enumerate(pts):
+        if k in start:
+            continue
+        seen = {f: h for f in hull if (h := sum(map(mul, f.normal, q)) - f.offset) > 0}
+        if not seen:
+            continue
+        links: dict[frozenset, tuple[_Facet, int]] = {}
+        for f, h_f in seen.items():
+            for i, g in enumerate(f.neighbours):
+                if g in seen:
+                    continue
+                ridge = f.verts[:i] + f.verts[i + 1:]
+                h_g = sum(map(mul, g.normal, q)) - g.offset
+                normal = _primitive(tuple([h_f * a - h_g * b
+                                           for a, b in zip(g.normal, f.normal)]))
+                new = _Facet(ridge + (k,), normal, sum(map(mul, normal, q)),
+                             [None] * (r - 1) + [g])
+                g.neighbours[g.neighbours.index(f)] = new
+                for j in range(r - 1):
+                    key = frozenset(ridge[:j] + ridge[j + 1:])
+                    mate = links.pop(key, None)
+                    if mate is None:
+                        links[key] = (new, j)
+                    else:
+                        mate[0].neighbours[mate[1]] = new
+                        new.neighbours[j] = mate[0]
+                hull.append(new)
+        # facets link each other in cycles: unlink each one that goes, so
+        # that reference counting frees it without the cycle collector
+        for f in seen:
+            f.neighbours = None
+        hull = [f for f in hull if f not in seen]
+    incident: dict[int, set[Point]] = {}
+    for f in hull:
+        f.neighbours = None
+        for v in f.verts:
+            incident.setdefault(v, set()).add(f.normal)
+    return [v for v, normals in incident.items()
+            if len(normals) >= r and (r == 3 or len(_independent_rows(normals, r)[0]) == r)]
 
 
 def minkowski_sum(a: Iterable[Point], b: Iterable[Point]) -> frozenset[Point]:
@@ -289,8 +471,8 @@ def hulls_equal(a: Iterable[Point], b: Iterable[Point]) -> bool:
 
 
 def _primitive(vector: tuple[int, ...]) -> tuple[int, ...]:
-    g = math.gcd(*(abs(e) for e in vector))
-    return tuple(e // g for e in vector) if g else vector
+    g = math.gcd(*vector)
+    return tuple([e // g for e in vector]) if g else vector
 
 
 def _hull_cycle_2d(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -81,7 +81,7 @@ def evaluate_z(poly, z0: Sequence) -> Coeffs:
     Returns ascending lam-coefficients; every coordinate of z0 must be a
     nonzero rational so negative exponents stay exact.
     """
-    z = [_coerce(c) for c in z0]
+    z = [_coerce(c, "momentum coordinates") for c in z0]
     if len(z) != poly.dimension:
         raise ValueError(f"z0 has {len(z)} coordinates, expected {poly.dimension}")
     if any(c == 0 for c in z):

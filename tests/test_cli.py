@@ -474,6 +474,14 @@ class TestErrorPaths:
         assert out == ""
         assert err == "input error: invalid JSON: nested too deeply to decode\n"
 
+    def test_null_orbit_id(self, capsys, tmp_path):
+        path = tmp_path / "null_id.json"
+        path.write_text('{"dimension": 1, "orbits": [{"id": null, "potential": 0}]}')
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "input error: orbits[0].id must be a string, got null\n"
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])

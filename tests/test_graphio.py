@@ -185,6 +185,23 @@ def test_parse_errors(mangle, message):
         parse_graph_spec(doc)
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d["orbits"][0].update(id=None), r"^orbits\[0\]\.id must be a string, got null$"),
+    (lambda d: d["orbits"][1].update(id=True), r"^orbits\[1\]\.id must be a string, got a boolean$"),
+    (lambda d: d["orbits"][2].update(id=1.5), r"^orbits\[2\]\.id must be a string, got a number$"),
+    (lambda d: d["orbits"][0].update(id=[[["1"]]]), r"^orbits\[0\]\.id must be a string, got an array$"),
+    (lambda d: d["orbits"][0].update(id={"name": "1"}),
+     r"^orbits\[0\]\.id must be a string, got an object$"),
+    (lambda d: d["edges"][0].update({"from": 1}), r"^edges\[0\]\.from must be a string, got a number$"),
+    (lambda d: d["edges"][3].update(to=None), r"^edges\[3\]\.to must be a string, got null$"),
+], ids=["null-id", "bool-id", "number-id", "array-id", "object-id", "number-from", "null-to"])
+def test_ids_and_edge_ends_must_be_strings(mangle, message):
+    doc = lieb_document()
+    mangle(doc)
+    with pytest.raises(GraphFormatError, match=message):
+        parse_graph_spec(doc)
+
+
 def test_top_level_must_be_object():
     with pytest.raises(GraphFormatError, match="top level"):
         parse_graph_spec([1, 2, 3])

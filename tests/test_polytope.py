@@ -73,7 +73,8 @@ def test_in_convex_hull_degenerate_cases():
     ((True, 0), [(0, 0), (2, 0)]),
 ], ids=["float-query", "float-point", "bool-query"])
 def test_in_convex_hull_refuses_floats_and_bools(point, points):
-    with pytest.raises(TypeError, match="not allowed"):
+    with pytest.raises(TypeError, match=r"^(float|bool) point coordinates are not allowed; "
+                                        r"use Fraction or int$"):
         in_convex_hull(point, points)
 
 
@@ -88,7 +89,8 @@ def test_extreme_points_square_with_interior():
     [(True, 0), (0, 1), (0, 0)],
 ], ids=["float-midpoint", "float-vertex", "bool"])
 def test_extreme_points_refuses_floats_and_bools(points):
-    with pytest.raises(TypeError, match="not allowed"):
+    with pytest.raises(TypeError, match=r"^(float|bool) point coordinates are not allowed; "
+                                        r"use Fraction or int$"):
         extreme_points(points)
 
 
@@ -229,8 +231,8 @@ def test_faces_come_from_one_lifted_scan():
     assert witnessed
 
 
-def _refuse_lp(rows):
-    raise AssertionError("an LP ran on points of mixed lengths")
+def _refuse_lp(*args):
+    raise AssertionError("an LP ran")
 
 
 @pytest.mark.parametrize("call", [
@@ -687,8 +689,33 @@ def _point_sets(dim):
     return st.lists(coords, min_size=1, max_size=14)
 
 
-@given(pts=st.integers(1, 4).flatmap(_point_sets))
+def _flat_point_sets(dim):
+    """Points c + M t on a lattice flat of lower dimension than `dim`."""
+    def embed(spec):
+        rank, base, frame, params = spec
+        return [tuple(b + sum(t * row[k] for t, row in zip(ts, frame[:rank]))
+                      for k, b in enumerate(base)) for ts in params]
+    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    return st.tuples(
+        st.integers(0, dim - 1), vector, st.lists(vector, min_size=dim, max_size=dim),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=14),
+    ).map(embed)
+
+
+@given(pts=st.integers(1, 5).flatmap(lambda dim: _point_sets(dim) | _flat_point_sets(dim)))
 @example(pts=[(2, 2, 2)] * 3)
+# rank-deficient sets: collinear in Z^3, a slanted plane in Z^3, a 2-flat
+# in Z^4, and a square with its edge midpoints
+@example(pts=[(0, 0, 0), (1, 2, -1), (3, 6, -3), (-2, -4, 2), (5, 10, -5)])
+@example(pts=[(0, 0, 0), (1, 0, 2), (0, 1, 3), (1, 1, 5), (2, 1, 7), (1, 2, 8), (3, 3, 15)])
+@example(pts=[(0, 0, 0, 0), (1, 0, 1, 2), (0, 1, -1, 1), (1, 1, 0, 3), (2, 1, 1, 5),
+              (3, 0, 3, 6), (0, 3, -3, 3)])
+@example(pts=[(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (2, 1), (1, 2), (0, 1)])
+# a cube with points inside an edge and inside a face, none a midpoint
+@example(pts=[(x, y, z) for x in (0, 3) for y in (0, 3) for z in (0, 3)]
+         + [(1, 0, 0), (0, 1, 2), (3, 2, 1)])
+@example(pts=[(x, y, z, w) for x in (0, 3) for y in (0, 3) for z in (0, 3) for w in (0, 3)]
+         + [(1, 0, 0, 0), (0, 1, 2, 0), (3, 3, 1, 2)])
 @example(pts=[(0, 0), (1, 1), (2, 2), (3, 3)])
 @example(pts=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
 @example(pts=sorted(LIEB_SUPPORT))
@@ -711,33 +738,32 @@ def test_extreme_points_match_the_2d_hull_cycle(pts):
     assert extreme_points(pts) == frozenset(_hull_cycle_2d(pts))
 
 
-def _count_lp_calls(monkeypatch):
-    """Record (point, number of hull points) for each LP extreme_points runs."""
-    calls = []
-    lp = polytope.in_convex_hull
-
-    def counting(point, points):
-        points = list(points)
-        calls.append((point, len(points)))
-        return lp(point, points)
-
-    monkeypatch.setattr(polytope, "in_convex_hull", counting)
-    return calls
+@pytest.mark.parametrize("points, vertices", [
+    ([(x, y) for x in range(5) for y in range(5)], {(0, 0), (0, 4), (4, 0), (4, 4)}),
+    ([(x, y, z) for x in range(7) for y in range(6) for z in range(6)],
+     {(x, y, z) for x in (0, 6) for y in (0, 5) for z in (0, 5)}),
+    (sorted(LIEB_SUPPORT), LIEB_SUPPORT - {(0, 0, 0), (0, 0, 1), (0, 0, 2)}),
+], ids=["grid", "box", "lieb"])
+def test_extreme_points_run_no_lp(monkeypatch, points, vertices):
+    monkeypatch.setattr(polytope, "_phase1_feasible_int", _refuse_lp)
+    monkeypatch.setattr(polytope, "in_convex_hull", _refuse_lp)
+    assert extreme_points(points) == vertices
 
 
-def test_grid_hull_runs_one_lp_per_corner(monkeypatch):
-    calls = _count_lp_calls(monkeypatch)
-    grid = [(x, y) for x in range(5) for y in range(5)]
-    assert extreme_points(grid) == {(0, 0), (0, 4), (4, 0), (4, 4)}
-    # every LP runs against the three other corners, not the whole grid
-    assert sorted(n for _, n in calls) == [3, 3, 3, 3]
-
-
-def test_box_hull_runs_one_lp_per_corner(monkeypatch):
-    calls = _count_lp_calls(monkeypatch)
-    box = [(x, y, z) for x in range(7) for y in range(6) for z in range(6)]
-    corners = {(x, y, z) for x in (0, 6) for y in (0, 5) for z in (0, 5)}
-    assert len(box) == 252
-    assert extreme_points(box) == corners
-    assert sorted(p for p, _ in calls) == sorted(corners)
-    assert {n for _, n in calls} == {7}
+def test_extreme_points_of_a_dense_3d_support():
+    # four orbits in d = 3, every pair joined three times, a self class on
+    # each orbit: a generic support of hundreds of points in Z^4
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1),
+             (1, -1, 0), (0, 1, -1)]
+    pairs = list(itertools.combinations(range(4), 2))
+    edges = [(i, j, units[(i + 2 * j + k) % len(units)]) for i, j in pairs for k in range(2)]
+    edges += [(i, j, (0, 0, 0)) for i, j in pairs]
+    edges += [(i, i, units[i]) for i in range(4)]
+    support = generic_support(PeriodicGraph(3, 4, edges))
+    assert len(support) > 200
+    vertices = extreme_points(support)
+    ordered = sorted(vertices)
+    for v in ordered:
+        assert not in_convex_hull(v, [q for q in ordered if q != v])
+    for p in support - vertices:
+        assert in_convex_hull(p, ordered)

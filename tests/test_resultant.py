@@ -116,7 +116,8 @@ def test_evaluate_z():
                          ids=["float", "bool", "fraction-and-float"])
 def test_evaluate_z_refuses_floats_and_bools(z0):
     poly = LaurentPoly(2, {(1, 0, 0): 1, (0, 0, 1): 1})
-    with pytest.raises(TypeError, match="coefficients are not allowed"):
+    with pytest.raises(TypeError, match=r"^(float|bool) momentum coordinates are not allowed; "
+                                        r"use Fraction or int$"):
         evaluate_z(poly, z0)
 
 
