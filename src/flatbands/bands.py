@@ -10,10 +10,16 @@ conjugate.  The eigenvalues come from Householder reduction to
 tridiagonal form and implicit QL with Wilkinson shifts, without
 eigenvectors.  Labels are real, so L at -th is the entrywise conjugate
 of L at th and has the same spectrum: each pair of opposite grid points
-is solved once.  The complex Jacobi solver (``hermitian_eigh``) and the
-pointwise ``floquet_at`` stay as the reference the tests hold the grid
-path against.  No external numeric library is used; plain lists of
-complex numbers are plenty at this matrix size.
+is solved once.  The solved points go through in chunks, in grid order:
+each cell of the chunk's matrices is one list over its points, and the
+Householder reduction runs once per chunk, as maps over those lists,
+while QL runs per point.  Every point sees the same float operations
+as it would alone (``hermitian_eigvalsh`` is the chunk of one), so the
+eigenvalues do not depend on the chunking.  The complex Jacobi solver
+(``hermitian_eigh``) and the pointwise ``floquet_at`` stay as the
+reference the tests hold the grid path against.  No external numeric
+library is used; plain lists of complex numbers are plenty at this
+matrix size.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from itertools import product, repeat
+from operator import add, mul, sub, truediv
 from typing import Sequence, TextIO
 
 from .floquet import FloquetMatrix
@@ -34,9 +40,15 @@ _JACOBI_EPS = 1e-30  # squared off-diagonal mass per element, ~machine precision
 _QL_ITERATIONS = 30  # per eigenvalue; Wilkinson shifts converge in two or three
 
 # Largest resolution^d that sample_bands accepts.  At the limit, `bands`
-# on the Lieb lattice (d = 2, R = 1024) with CSV output took 34 s and
+# on the Lieb lattice (d = 2, R = 1024) with CSV output took 15-16 s and
 # 186 MB ru_maxrss on a 2-vCPU host.
 MAX_GRID_POINTS = 1 << 20
+
+# Matrix entries that sample_bands reduces together: a chunk holds
+# _CHUNK_ENTRIES // n^2 grid points (at least one), so its memory does not
+# grow with n.  Measured on the sample graphs and 120 benchmark graphs,
+# sampling time is flat from 2^12 entries up and up to 1.9x at 2^8.
+_CHUNK_ENTRIES = 1 << 13
 
 
 def evaluate_entry(poly: LaurentPoly, z_values: Sequence[complex]) -> complex:
@@ -166,54 +178,99 @@ def hermitian_eigh(matrix: list[list[complex]]) -> tuple[list[float], list[list[
 def hermitian_eigvalsh(matrix: list[list[complex]]) -> list[float]:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
-    The matrix is first scaled by 2^-k, with 2^k just above its largest
-    |entry| (or 2^-1021 for a subnormal one).  A power of two scales
-    exactly, so the eigenvalues come back exactly, and no norm below
-    over- or underflows at any float range.
+    The batched kernel on a chunk of one matrix; see _eigvalsh_points.
+    Raises ArithmeticError if QL does not converge.
+    """
+    if not matrix:
+        return []
+    return _eigvalsh_points([[[x] for x in row] for row in matrix])[0]
+
+
+def _eigvalsh_points(a: list[list[list[complex]]]) -> list[list[float]]:
+    """Ascending eigenvalues of each matrix in a chunk of Hermitian matrices.
+
+    a[i][j][k] is entry (i, j) of the k-th matrix, n >= 1.  Each matrix is
+    first scaled by 2^-e, with 2^e just above its largest |entry| (or
+    2^-1021 for a subnormal one).  A power of two scales exactly, so the
+    eigenvalues come back exactly, and no norm below over- or underflows
+    at any float range.
     A complex Householder step per column then reduces it to Hermitian
     tridiagonal form (Martin, Reinsch and Wilkinson, 1968), reading only
     the diagonal and the norms of the subdiagonal; a diagonal phase makes
     that real symmetric with off-diagonals |e_k|, and implicit QL with
     Wilkinson shifts solves it (tql1: Bowdler, Martin, Reinsch and
     Wilkinson, 1968).  Raises ArithmeticError if QL does not converge.
+
+    The reduction runs once per chunk: every step is one map over the
+    chunk per matrix cell, with the per-matrix scale, reflector and norms
+    held as lists.  Each matrix sees the float operations, in the order
+    and on the operand types, that it would see alone, so its eigenvalues
+    do not depend on the chunk around it.  QL stays per matrix, since its
+    iteration count depends on the data.
     """
-    n = len(matrix)
-    largest = max([abs(x) for row in matrix for x in row], default=0.0)
-    if not largest:
-        return [0.0] * n
+    n = len(a)
+    largest = [max(x) for x in zip(*[map(abs, cell) for row in a for cell in row])]
+    spectra = [[0.0] * n if not x else None for x in largest]
+    live = [k for k, x in enumerate(largest) if x]
+    if len(live) < len(largest):
+        a = [[[cell[k] for k in live] for cell in row] for row in a]
     # 2^1021 is the largest power of two that scales a subnormal up
-    exponent = max(math.frexp(largest)[1], -1021)
-    scale = math.ldexp(1.0, -exponent)
-    a = [[x * scale for x in row] for row in matrix]
-    diagonal: list[float] = []
-    off: list[float] = []
+    exponents = [max(math.frexp(largest[k])[1], -1021) for k in live]
+    scales = [math.ldexp(1.0, -e) for e in exponents]
+    a = [[list(map(mul, cell, scales)) for cell in row] for row in a]
+    diagonal: list[list[float]] = []
+    off: list[list[float]] = []
     while len(a) > 1:
         # column 0 below the diagonal, reflected onto -phase * alpha * e_1
         x = [row[0] for row in a[1:]]
-        diagonal.append(a[0][0].real)
+        diagonal.append([w.real for w in a[0][0]])
         a = [row[1:] for row in a[1:]]
-        alpha = math.hypot(*map(abs, x))
+        alpha = list(map(math.hypot, *[map(abs, column) for column in x]))
         off.append(alpha)
-        if len(x) == 1 or not alpha:
+        if len(x) == 1:
             continue
+        # a matrix whose column is zero takes no reflection: it runs the
+        # step with alpha = 1, and its entries are put back afterwards
+        idle = [k for k, norm in enumerate(alpha) if not norm]
+        if idle:
+            kept = a
+            alpha = [norm or 1.0 for norm in alpha]
         # v = x / alpha + phase * e_1 stays near 1 however small alpha is
-        v = [w / alpha for w in x]
-        r0 = abs(v[0])
-        v[0] += v[0] / r0 if r0 else 1.0
-        h = 1.0 + r0
+        v = [list(map(truediv, column, alpha)) for column in x]
+        r0 = list(map(abs, v[0]))
+        v[0] = [w + (w / r if r else 1.0) for w, r in zip(v[0], r0)]
+        h = [1.0 + r for r in r0]
         # H A H with H = I - v v^H / h is A - q v^H - v q^H
-        p = [sum(map(mul, row, v)) / h for row in a]
-        cv = [w.conjugate() for w in v]
-        half = sum(map(mul, cv, p)).real / (2.0 * h)
-        q = [pi - half * w for pi, w in zip(p, v)]
-        cq = [w.conjugate() for w in q]
+        p = [list(map(truediv, _dot(row, v), h)) for row in a]
+        cv = [[w.conjugate() for w in column] for column in v]
+        half = [s.real / (2.0 * hk) for s, hk in zip(_dot(cv, p), h)]
+        q = [list(map(sub, pi, map(mul, half, vi))) for pi, vi in zip(p, v)]
+        cq = [[w.conjugate() for w in column] for column in q]
         a = [
-            [y - qi * cvj - vi * cqj for y, cvj, cqj in zip(row, cv, cq)]
+            [list(map(sub, map(sub, y, map(mul, qi, cvj)), map(mul, vi, cqj)))
+             for y, cvj, cqj in zip(row, cv, cq)]
             for row, qi, vi in zip(a, q, v)
         ]
-    diagonal.append(a[0][0].real)
-    values = sorted(_tridiagonal_ql(diagonal, off))
-    return [math.ldexp(value, exponent) for value in values]
+        if idle:
+            for row, old_row in zip(a, kept):
+                for cell, old in zip(row, old_row):
+                    for k in idle:
+                        cell[k] = old[k]
+    diagonal.append([w.real for w in a[0][0]])
+    solved = zip(zip(*diagonal), zip(*off) if off else repeat(()), exponents)
+    for k, (d, e, exponent) in zip(live, solved):
+        values = sorted(_tridiagonal_ql(list(d), list(e)))
+        spectra[k] = [math.ldexp(value, exponent) for value in values]
+    return spectra
+
+
+def _dot(rows: list[list], columns: list[list]) -> list:
+    """Per matrix, sum(rows[j] * columns[j]) added from 0 in the order of j,
+    as the builtin sum adds complex numbers."""
+    total = [0] * len(columns[0])
+    for row, column in zip(rows, columns):
+        total = list(map(add, total, map(mul, row, column)))
+    return total
 
 
 def _tridiagonal_ql(d: list[float], e: list[float]) -> list[float]:
@@ -310,6 +367,50 @@ def _compile_upper(matrix: FloquetMatrix):
     return list(slots), cells
 
 
+def check_grid(resolution: int, dimension: int) -> None:
+    """Refuse a grid that sample_bands does not sample, before any work.
+
+    Raises ValueError for a resolution below 2 and for more than
+    MAX_GRID_POINTS points.  Since resolution >= 2, a dimension of
+    MAX_GRID_POINTS.bit_length() or more is refused without raising the
+    resolution to that power.
+    """
+    if resolution < 2:
+        raise ValueError("grid resolution must be at least 2")
+    if (dimension >= MAX_GRID_POINTS.bit_length()
+            or resolution ** dimension > MAX_GRID_POINTS):
+        raise ValueError(
+            f"a grid of {resolution}^{dimension} points exceeds the limit of "
+            f"{MAX_GRID_POINTS} grid points"
+        )
+
+
+def _chunk_entries(n: int, cells, offsets, roots: list[complex],
+                   indices: list[tuple[int, ...]]) -> list[list[list[complex]]]:
+    """L at each grid index of a chunk: entry (i, j) as a list over the chunk.
+
+    The diagonal is real, the lower triangle is the conjugate of the upper,
+    and cells with no term hold 0j.
+    """
+    count, resolution = len(indices), len(roots)
+    phases = [
+        [roots[sum(map(mul, index, a)) % resolution] for index in indices]
+        for a in offsets
+    ]
+    zero = [0j] * count
+    entries = [[zero] * n for _ in range(n)]
+    for i, j, terms in cells:
+        value = zero
+        for coeff, slot in terms:
+            value = list(map(add, value, map(coeff.__mul__, phases[slot])))
+        if i == j:
+            entries[i][i] = [w.real for w in value]
+        else:
+            entries[i][j] = value
+            entries[j][i] = [w.conjugate() for w in value]
+    return entries
+
+
 def sample_bands(matrix: FloquetMatrix, resolution: int = 16) -> BandSample:
     """Band functions of a real labeling sampled at resolution^d points.
 
@@ -317,45 +418,44 @@ def sample_bands(matrix: FloquetMatrix, resolution: int = 16) -> BandSample:
     caller that also wants the exact dispersion builds the matrix once.
     Refuses grids of more than MAX_GRID_POINTS points before any work.
     """
-    if resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
     graph = matrix.graph
     n, d = graph.num_orbits, graph.dimension
-    if resolution ** d > MAX_GRID_POINTS:
-        raise ValueError(
-            f"a grid of {resolution}^{d} points exceeds the limit of "
-            f"{MAX_GRID_POINTS} grid points"
-        )
+    check_grid(resolution, d)
     offsets, cells = _compile_upper(matrix)
     angles = [2.0 * math.pi * k / resolution for k in range(resolution)]
     half = resolution // 2
     roots = [cmath.exp(1j * th) for th in angles[: half + 1]]
     roots += [roots[resolution - m].conjugate() for m in range(half + 1, resolution)]
     place = [resolution ** (d - 1 - t) for t in range(d)]
-    # one buffer for every point: hermitian_eigvalsh works on a scaled copy
-    numeric = [[0j] * n for _ in range(n)]
-    bands: list[tuple[float, ...]] = []
+    chunk_points = max(1, _CHUNK_ENTRIES // (n * n))
+    bands: list[tuple[float, ...] | None] = []
+    chunk: list[tuple[int, tuple[int, ...]]] = []  # (flat, index) still to solve
+    copies: list[tuple[int, int]] = []  # (flat, mirror) whose mirror is in chunk
+
+    def solve() -> None:
+        entries = _chunk_entries(n, cells, offsets, roots, [index for _, index in chunk])
+        for (flat, _), values in zip(chunk, _eigvalsh_points(entries)):
+            bands[flat] = tuple(values)
+        for flat, mirror in copies:
+            bands[flat] = bands[mirror]
+        chunk.clear()
+        copies.clear()
+
     for flat, index in enumerate(product(range(resolution), repeat=d)):
         # real labels: L at the opposite point is the conjugate, same spectrum
         mirror = sum((-k % resolution) * w for k, w in zip(index, place))
         if mirror < flat:
+            if bands[mirror] is None:
+                copies.append((flat, mirror))
             bands.append(bands[mirror])
             continue
-        phases = [roots[sum(map(mul, index, a)) % resolution] for a in offsets]
-        for i, j, terms in cells:
-            value = 0j
-            for coeff, slot in terms:
-                value += coeff * phases[slot]
-            if i == j:
-                numeric[i][i] = value.real
-            else:
-                numeric[i][j] = value
-                numeric[j][i] = value.conjugate()
-        bands.append(tuple(hermitian_eigvalsh(numeric)))
-    flatness = tuple(
-        max(row[j] for row in bands) - min(row[j] for row in bands)
-        for j in range(n)
-    )
+        bands.append(None)
+        chunk.append((flat, index))
+        if len(chunk) == chunk_points:
+            solve()
+    if chunk:
+        solve()
+    flatness = tuple(max(column) - min(column) for column in zip(*bands))
     return BandSample(
         resolution=resolution,
         grid=tuple(product(angles, repeat=d)),

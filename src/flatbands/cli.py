@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .bands import (flat_energy_presence, numeric_flat_flags, sample_bands,
+from .bands import (check_grid, flat_energy_presence, numeric_flat_flags, sample_bands,
                     write_csv)
 from .flatband import (FlatBandReport, InvariantError, flat_bands,
                        generic_flat_band_decision, settled_verdict)
@@ -371,6 +371,7 @@ def cmd_bands(args) -> dict:
     spec = load_graph_file(args.file)
     labeling = resolve_labeling(spec, args.labels, args.seed, tame=True)
     _check_float_labels(spec, labeling)
+    check_grid(args.resolution, spec.graph.dimension)
     matrix = FloquetMatrix(spec.graph, labeling)
     sample = sample_bands(matrix, resolution=args.resolution)
     # --tol is relative to the largest |band value|, so that the verdicts do

@@ -131,6 +131,9 @@ def parse_graph_spec(document: dict) -> GraphSpec:
     dimension = document["dimension"]
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise GraphFormatError(f"dimension must be a positive integer, got {dimension!r}")
+    if dimension > sys.maxsize:
+        # offsets and exponents are tuples of this length
+        raise GraphFormatError(f"dimension must be at most {sys.maxsize}")
 
     orbits = document["orbits"]
     if not isinstance(orbits, list) or not orbits:

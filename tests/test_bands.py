@@ -219,6 +219,47 @@ def test_hermitian_eigvalsh_matches_jacobi_oracles(matrix, exponent):
             assert abs(math.ldexp(got, -exponent) - want) <= 1e-12 * norm
 
 
+@st.composite
+def hermitian_chunks(draw):
+    """One to nine Hermitian n x n matrices, n in {1, 2, 3, 6}, of mixed kinds.
+
+    Besides plain draws, a matrix may have a zero first column (no
+    reflection at the first step), be zero, or be scaled into the
+    subnormal range or up to 1e300, so that one chunk mixes scales.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 6]))
+    part = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-4, 4))
+    chunk = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["plain", "zero column", "zero", "subnormal", "huge"]))
+        matrix = [[0j] * n for _ in range(n)]
+        for i in range(n):
+            matrix[i][i] = complex(draw(part))
+            for j in range(i + 1, n):
+                if not (kind == "zero column" and i == 0) and kind != "zero":
+                    matrix[i][j] = complex(draw(part), draw(part))
+                    matrix[j][i] = matrix[i][j].conjugate()
+        factor = {"subnormal": math.ldexp(1.0, -1070), "huge": 1e300}.get(kind, 1.0)
+        chunk.append([[x * factor for x in row] for row in matrix])
+    return chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_chunks())
+@example([HERMITIAN_CASES["lieb_gamma"], [[0j] * 3 for _ in range(3)],
+          [[x * 1e300 for x in row] for row in HERMITIAN_CASES["lieb_m"]],
+          [[0j, 0j, 0j], [0j, 1 + 0j, 1j], [0j, -1j, 2 + 0j]],
+          [[x * math.ldexp(1.0, -1070) for x in row] for row in HERMITIAN_CASES["lieb_m"]]])
+def test_chunk_kernel_equals_each_matrix_alone(chunk):
+    """A chunk gives each matrix the eigenvalues it has alone, bit for bit."""
+    n = len(chunk[0])
+    cells = [[[matrix[i][j] for matrix in chunk] for j in range(n)] for i in range(n)]
+    got = bands._eigvalsh_points(cells)
+    assert len(got) == len(chunk)
+    for values, matrix in zip(got, chunk, strict=True):
+        assert list(map(repr, values)) == list(map(repr, hermitian_eigvalsh(matrix)))
+
+
 def test_hermitian_eigvalsh_edge_sizes_and_float_range():
     assert hermitian_eigvalsh([]) == []
     assert hermitian_eigvalsh([[-2.5 + 0j]]) == [-2.5]
@@ -385,8 +426,8 @@ def test_sample_bands_matches_pointwise_solve(case, resolution, lieb_graph, lieb
 
 
 def counting_seams(monkeypatch):
-    """Count calls through the module-level solver and evaluator names."""
-    calls = {"eval": 0, "eigh": 0, "eigvalsh": 0}
+    """Count oracle calls and the grid points handed to the chunk kernel."""
+    calls = {"eval": 0, "eigh": 0, "points": 0}
 
     def counted(name, function):
         def wrapper(*args):
@@ -394,10 +435,14 @@ def counting_seams(monkeypatch):
             return function(*args)
         return wrapper
 
+    def kernel(cells):
+        calls["points"] += len(cells[0][0])
+        return solve(cells)
+
+    solve = bands._eigvalsh_points
     monkeypatch.setattr(bands, "floquet_at", counted("eval", bands.floquet_at))
     monkeypatch.setattr(bands, "hermitian_eigh", counted("eigh", bands.hermitian_eigh))
-    monkeypatch.setattr(bands, "hermitian_eigvalsh",
-                        counted("eigvalsh", bands.hermitian_eigvalsh))
+    monkeypatch.setattr(bands, "_eigvalsh_points", kernel)
     return calls
 
 
@@ -411,8 +456,8 @@ def test_sample_bands_solves_each_opposite_pair_once(monkeypatch, dimension, res
     calls = counting_seams(monkeypatch)
     sample = sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
     assert len(sample.grid) == resolution ** dimension
-    # one kernel solve per pair; the pointwise oracles never run
-    assert calls == {"eval": 0, "eigh": 0, "eigvalsh": solves}
+    # one point through the kernel per pair; the pointwise oracles never run
+    assert calls == {"eval": 0, "eigh": 0, "points": solves}
 
 
 @pytest.mark.parametrize("dimension, resolution", [(1, MAX_GRID_POINTS + 1), (2, 1025), (3, 102)])
@@ -422,4 +467,21 @@ def test_sample_bands_refuses_grids_past_the_budget(monkeypatch, dimension, reso
     calls = counting_seams(monkeypatch)
     with pytest.raises(ValueError, match=f"limit of {MAX_GRID_POINTS} grid points"):
         sample_bands(FloquetMatrix(graph, labeling), resolution=resolution)
-    assert calls == {"eval": 0, "eigh": 0, "eigvalsh": 0}
+    assert calls == {"eval": 0, "eigh": 0, "points": 0}
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_sample_bands_across_a_chunk_boundary(monkeypatch, extra):
+    """Solved points one short of, equal to and one past a chunk: each point
+    gets the spectrum it has when it is solved alone."""
+    graph, labeling = chain_with_hopping()
+    chunk = bands._CHUNK_ENTRIES // graph.num_orbits ** 2
+    resolution = 2 * (chunk + extra - 1)  # R // 2 + 1 solved points
+    matrix = FloquetMatrix(graph, labeling)
+    calls = counting_seams(monkeypatch)
+    sample = sample_bands(matrix, resolution=resolution)
+    assert calls["points"] == chunk + extra
+    monkeypatch.setattr(bands, "_CHUNK_ENTRIES", 1)
+    alone = sample_bands(matrix, resolution=resolution)
+    assert [list(map(repr, row)) for row in sample.bands] == \
+        [list(map(repr, row)) for row in alone.bands]

@@ -452,6 +452,19 @@ class TestBands:
         assert code == EXIT_INPUT_ERROR
         assert "resolution" in err
 
+    def test_grid_refused_before_the_exact_layer(self, capsys, monkeypatch, tmp_path):
+        # at d = 20000 the exact layer takes about a second; the refusal reads d only
+        def refuse(self, graph):
+            raise AssertionError("no pencil template may be built")
+
+        monkeypatch.setattr(PencilTemplate, "__init__", refuse)
+        path = write_graph(tmp_path, "wide.json", {
+            "dimension": 20000, "orbits": [{"id": "A", "potential": 0}]})
+        code, out, err = run_cli(capsys, "bands", path, "--resolution", "2")
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == (f"input error: a grid of 2^20000 points exceeds the limit "
+                       f"of {MAX_GRID_POINTS} grid points\n")
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -473,6 +486,14 @@ class TestErrorPaths:
         assert code == EXIT_INPUT_ERROR
         assert out == ""
         assert err == "input error: invalid JSON: nested too deeply to decode\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "generic", "polytope", "bands"])
+    def test_dimension_too_large_to_index(self, capsys, tmp_path, command):
+        path = write_graph(tmp_path, "huge.json", {
+            "dimension": 2 ** 70, "orbits": [{"id": "A"}]})
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"input error: dimension must be at most {sys.maxsize}\n"
 
     def test_null_orbit_id(self, capsys, tmp_path):
         path = tmp_path / "null_id.json"

@@ -156,6 +156,7 @@ def test_load_graph_text_deeply_nested_json(text):
         (lambda d: d.update(dimension=0), "dimension"),
         (lambda d: d.update(dimension=True), "dimension"),
         (lambda d: d.update(dimension="2"), "dimension"),
+        (lambda d: d.update(dimension=2 ** 70), "dimension must be at most"),
         (lambda d: d.update(orbits=[]), "orbits"),
         (lambda d: d.update(orbits="nope"), "orbits"),
         (lambda d: d["orbits"].append("nope"), "expected an object"),
