@@ -17,8 +17,9 @@ points are added one at a time.  A point that strictly sees no facet
 lies in the hull of the points before it, so it is no vertex.  A point
 that sees some replaces them by the cone over the horizon.  At the end a
 facet vertex is a hull vertex exactly when the normals of its facets
-have rank r, which drops points inside a face or an edge.  The phase-1
-simplex of `in_convex_hull` is exact too, but no hull runs it.
+have rank r, which drops points inside a face or an edge.  Membership
+is read off the same hull: `in_convex_hull` asks whether the point is a
+vertex of the hull with the point added.
 
 The generic support, the support of the dispersion D(z, lam) when every
 potential and weight is its own indeterminate, is computed exactly from
@@ -135,97 +136,6 @@ def is_vertical_segment(points: Iterable[Point]) -> bool:
     if not pts:
         raise ValueError("empty support has no polytope")
     return all(all(e == 0 for e in p[:-1]) for p in pts)
-
-
-# ---------------------------------------------------------------------------
-# exact convex-hull membership (phase-1 simplex with Bland's rule)
-
-
-def in_convex_hull(point: Sequence[int], points: Iterable[Point]) -> bool:
-    """Exact test for membership of `point` in conv(points).
-
-    Feasibility of sum_j t_j q_j = point, sum_j t_j = 1, t >= 0, decided by
-    a phase-1 simplex with Bland's rule that never leaves the integers.
-    A row with rational entries is first scaled by the lcm of its
-    denominators, which leaves the feasible set unchanged.
-    """
-    pts = list(points)
-    if not pts:
-        return False
-    _common_length([point, *pts])
-    rows = [[q[k] for q in pts] + [point[k]] for k in range(len(point))]
-    rows.append([1] * (len(pts) + 1))
-    for k, row in enumerate(rows):
-        if not all(type(x) is int for x in row):
-            values = [_coerce(x, "point coordinates") for x in row]
-            scale = math.lcm(*(x.denominator for x in values))
-            rows[k] = [x.numerator * (scale // x.denominator) for x in values]
-    return _phase1_feasible_int(rows)
-
-
-def _phase1_feasible_int(rows: list[list[int]]) -> bool:
-    """Bland's-rule phase 1 on an integer tableau with one denominator.
-
-    ``rows`` holds [A | b].  The tableau [A | I | b] carries integer
-    entries t with actual value t / den (Edmonds' integer-preserving
-    Gauss-Jordan).  Pivoting on t_rc > 0 maps every other row i to
-    (t_rc * t_ij - t_ic * t_rj) / den, an exact division, keeps row r, and
-    sets den = t_rc; the entering test only ever picks t_rc > 0, so den
-    stays positive.  The last row holds den times the reduced costs of the
-    phase-1 objective (1 on each artificial) and is updated like the
-    others, so the entering column is the first one with a negative
-    entry, and the ratio test compares b_i / t_ie by cross-multiplication.
-    Every choice matches the textbook Fraction simplex (Bland's rule on
-    the reduced costs, ties in the ratio test to the lowest basic
-    column) on the same integer input; tests/test_polytope.py keeps that
-    simplex as the reference.
-    """
-    m = len(rows)
-    n = len(rows[0]) - 1
-    table = []
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
-            row = [-a for a in row]
-        unit = [0] * m
-        unit[i] = 1
-        table.append(row[:-1] + unit + row[-1:])
-    # reduced costs with every artificial basic: 1 - 1 = 0 on artificials
-    table.append([-sum(col) for col in zip(*(row[:n] for row in table))]
-                 + [0] * m + [-sum(row[-1] for row in table)])
-    basis = list(range(n, n + m))
-    den = 1
-    while True:
-        entering = next((j for j in range(n + m) if table[m][j] < 0), -1)
-        if entering < 0:
-            break
-        leaving = -1
-        for i in range(m):
-            a = table[i][entering]
-            if a > 0:
-                if leaving < 0:
-                    leaving = i
-                    continue
-                lhs = table[i][-1] * table[leaving][entering]
-                rhs = table[leaving][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving = i
-        if leaving < 0:
-            # unbounded phase-1 cannot happen; defensive
-            raise ArithmeticError("phase-1 simplex became unbounded")
-        pivot_row = table[leaving]
-        pivot = pivot_row[entering]
-        for i, row in enumerate(table):
-            if i == leaving:
-                continue
-            factor = row[entering]
-            if factor:
-                table[i] = [(pivot * a - factor * c) // den
-                            for a, c in zip(row, pivot_row)]
-            elif pivot != den:
-                table[i] = [pivot * a // den for a in row]
-        den = pivot
-        basis[leaving] = entering
-    return all(table[i][-1] == 0 for i in range(m) if basis[i] >= n)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +374,24 @@ def minkowski_sum(a: Iterable[Point], b: Iterable[Point]) -> frozenset[Point]:
 def hulls_equal(a: Iterable[Point], b: Iterable[Point]) -> bool:
     """Whether two point sets span the same convex hull."""
     return extreme_points(a) == extreme_points(b)
+
+
+def in_convex_hull(point: Sequence[int], points: Iterable[Point]) -> bool:
+    """Exact test for membership of `point` in conv(points).
+
+    A point q outside conv(P) is a vertex of conv(P and q), and a point
+    inside conv(P) but not in P is not, so q is in conv(P) exactly when
+    it is in P or is no vertex of `extreme_points` of P and q.
+    """
+    pts = list(points)
+    if not pts:
+        return False
+    _common_length([point, *pts])
+    # floats and bools go before any set is formed: 0.0 and True equal
+    # the ints 0 and 1, and a set would merge them into an int point
+    q, *pts = [tuple(x if type(x) is int else _coerce(x, "point coordinates") for x in p)
+               for p in (point, *pts)]
+    return q in pts or q not in extreme_points([q, *pts])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from flatbands import cli, laurent, polytope, unipoly
 from flatbands.bands import MAX_GRID_POINTS
 from flatbands.flatband import flat_bands_of, generic_flat_band_decision
 from flatbands.floquet import FloquetMatrix, PencilTemplate
+from flatbands.graphio import MAX_DIMENSION
 from flatbands.laurent import LaurentMatrix, LaurentPoly, PackedTemplate, format_unipoly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 from flatbands.cli import (
@@ -453,16 +455,16 @@ class TestBands:
         assert "resolution" in err
 
     def test_grid_refused_before_the_exact_layer(self, capsys, monkeypatch, tmp_path):
-        # at d = 20000 the exact layer takes about a second; the refusal reads d only
+        # the widest file the parser accepts; the refusal reads d only
         def refuse(self, graph):
             raise AssertionError("no pencil template may be built")
 
         monkeypatch.setattr(PencilTemplate, "__init__", refuse)
         path = write_graph(tmp_path, "wide.json", {
-            "dimension": 20000, "orbits": [{"id": "A", "potential": 0}]})
+            "dimension": MAX_DIMENSION, "orbits": [{"id": "A", "potential": 0}]})
         code, out, err = run_cli(capsys, "bands", path, "--resolution", "2")
         assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert err == (f"input error: a grid of 2^20000 points exceeds the limit "
+        assert err == (f"input error: a grid of 2^{MAX_DIMENSION} points exceeds the limit "
                        f"of {MAX_GRID_POINTS} grid points\n")
 
 
@@ -493,7 +495,33 @@ class TestErrorPaths:
             "dimension": 2 ** 70, "orbits": [{"id": "A"}]})
         code, out, err = run_cli(capsys, command, path)
         assert (code, out) == (EXIT_INPUT_ERROR, "")
-        assert err == f"input error: dimension must be at most {sys.maxsize}\n"
+        assert err == f"input error: dimension must be at most {MAX_DIMENSION}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "generic", "polytope", "bands"])
+    @pytest.mark.parametrize("dimension", [2 ** 62, MAX_DIMENSION + 1], ids=["2^62", "limit+1"])
+    def test_huge_dimension_is_refused_before_any_allocation(self, capsys, monkeypatch,
+                                                             tmp_path, command, dimension):
+        # 2^62 fits an index but ran out of memory building the packed keys
+        def refuse(self, graph):
+            raise AssertionError("no pencil template may be built")
+
+        monkeypatch.setattr(PencilTemplate, "__init__", refuse)
+        path = write_graph(tmp_path, "huge.json", {
+            "dimension": dimension, "orbits": [{"id": "A", "potential": 0}]})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, path)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"input error: dimension must be at most {MAX_DIMENSION}\n"
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long_potential.json"
+        path.write_text('{"dimension": 1, "orbits": [{"id": "A", "potential": 1%s}]}'
+                        % ("0" * 4999))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == (f"input error: invalid JSON: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
 
     def test_null_orbit_id(self, capsys, tmp_path):
         path = tmp_path / "null_id.json"

@@ -1,6 +1,7 @@
 """Graph file parsing, validation errors, and round-trip serialization."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flatbands.graph import PeriodicGraph
 from flatbands.graphio import (
+    MAX_DIMENSION,
     GraphFormatError,
     GraphSpec,
     graph_to_document,
@@ -147,6 +149,18 @@ def test_load_graph_text_deeply_nested_json(text):
         load_graph_text(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"dimension": 1, "orbits": [{"id": "A", "potential": 1%s}]}' % ("0" * 4999),
+    '{"dimension": 1%s, "orbits": [{"id": "A"}]}' % ("0" * 4999),
+], ids=["potential", "dimension"])
+def test_load_graph_text_integer_past_the_digit_limit(text):
+    # the decoder's own message tells the user to call a Python function
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(GraphFormatError,
+                       match=rf"^invalid JSON: an integer has more than {limit} digits$"):
+        load_graph_text(text)
+
+
 @pytest.mark.parametrize(
     "mangle, message",
     [
@@ -177,6 +191,7 @@ def test_load_graph_text_deeply_nested_json(text):
         (lambda d: d.update(edges=5), "edges must be a list"),
         (lambda d: d.update(edges="nope"), "edges must be a list"),
         (lambda d: d.update(edges={"from": "1"}), "edges must be a list"),
+        (lambda d: d.update(dimension=MAX_DIMENSION + 1), f"at most {MAX_DIMENSION}$"),
     ],
 )
 def test_parse_errors(mangle, message):
