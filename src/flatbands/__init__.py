@@ -21,8 +21,8 @@ from .graph import (EdgeClass, Labeling, PeriodicGraph, ShiftAssignment,
                     reshift, support_of_subset)
 from .graphio import (GraphFormatError, GraphSpec, graph_to_document,
                       load_graph_file, load_graph_text, parse_graph_spec)
-from .laurent import (LaurentMatrix, LaurentPoly, det_bareiss, det_leibniz,
-                      determinant, facial_polynomial, format_poly)
+from .laurent import (LaurentPoly, det_bareiss, det_leibniz, determinant, facial_polynomial,
+                      format_poly)
 from .polytope import (FaceDescriptor, NewtonPolytopeData,
                        extreme_points, face_of, facial_independence_witness,
                        generic_support, hulls_equal, in_convex_hull,
@@ -38,7 +38,7 @@ __all__ = [
     "BandSample", "EdgeClass", "FaceDescriptor", "FlatBandReport", "FloquetMatrix",
     "GenericFlatBandDecision", "GraphFormatError",
     "GraphSpec", "InheritanceResult", "IrreducibleFactor", "Labeling",
-    "LaurentMatrix", "LaurentPoly", "NewtonPolytopeData", "PeriodicGraph",
+    "LaurentPoly", "NewtonPolytopeData", "PeriodicGraph",
     "ShiftAssignment",
     "canonicalize_edge", "components", "cut_edge_certificate", "det_bareiss",
     "det_leibniz", "determinant", "dispersion_polynomial", "evaluate_z",

@@ -61,7 +61,7 @@ def evaluate_entry(poly: LaurentPoly, z_values: Sequence[complex]) -> complex:
 def floquet_at(matrix: FloquetMatrix, z_values: Sequence[complex]) -> list[list[complex]]:
     return [
         [evaluate_entry(entry, z_values) for entry in row]
-        for row in matrix.matrix.entries
+        for row in matrix.matrix
     ]
 
 

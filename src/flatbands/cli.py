@@ -187,7 +187,7 @@ def cmd_analyze(args) -> dict:
         "graph": _graph_section(spec),
         "labeling": _labeling_section(spec, labeling),
         "floquet_matrix": [
-            [format_poly(entry) for entry in row] for row in matrix.matrix.entries
+            [format_poly(entry) for entry in row] for row in matrix.matrix
         ],
         "dispersion": format_poly(dispersion),
         "flat_bands": _flatband_section(report),

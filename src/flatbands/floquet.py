@@ -19,8 +19,9 @@ alone are the pencil's 0/1 pattern, whose permanent
 `laurent.support_leibniz` expands without filling anything.  A
 `FloquetMatrix` packs its template on the first `dispersion()` call;
 every other runtime reader of the pencil (the band grid, permutation
-products) reads the template's `triples`.  The Laurent matrix `matrix`
-holds L(z) alone and is built only when something reads it; its empty
+products) reads the template's `triples`, and so does `matrix`, which
+builds L(z) alone as rows of `LaurentPoly` on each read (the printout
+of `analyze` and the pointwise reference `bands.floquet_at`); its empty
 cells share one zero `LaurentPoly`.
 """
 
@@ -30,8 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import Labeling, PeriodicGraph
-from .laurent import (Exponent, LaurentMatrix, LaurentPoly, PackedPencil, PackedTemplate,
-                      determinant)
+from .laurent import Exponent, LaurentPoly, PackedPencil, PackedTemplate, determinant
 
 _MINUS_ONE = Fraction(-1)
 
@@ -91,7 +91,7 @@ class PencilTemplate:
 class FloquetMatrix:
     """Matrix-valued symbol of the periodic operator, with cached dispersion."""
 
-    __slots__ = ("graph", "labeling", "_template", "_matrix", "_dispersion")
+    __slots__ = ("graph", "labeling", "_template", "_dispersion")
 
     def __init__(self, graph: PeriodicGraph, labeling: Labeling):
         if labeling.graph != graph:
@@ -99,7 +99,6 @@ class FloquetMatrix:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "labeling", labeling)
         object.__setattr__(self, "_template", PencilTemplate(graph))
-        object.__setattr__(self, "_matrix", None)
         object.__setattr__(self, "_dispersion", None)
 
     def __setattr__(self, name, value):
@@ -110,21 +109,19 @@ class FloquetMatrix:
         return self.graph.num_orbits
 
     @property
-    def matrix(self) -> LaurentMatrix:
-        """L(z) as a Laurent matrix, built on first read."""
-        if self._matrix is None:
-            d = self.graph.dimension
-            zero = LaurentPoly.zero(d)
-            entries = []
-            for row in self._template.triples(self.labeling):
-                terms: dict[int, dict] = {}
-                for col, key, coeff in row:
-                    if key[-1] == 0:
-                        terms.setdefault(col, {})[key] = coeff
-                cells = {col: LaurentPoly._from_terms(d, t) for col, t in terms.items()}
-                entries.append([cells.get(col, zero) for col in range(self.size)])
-            object.__setattr__(self, "_matrix", LaurentMatrix(entries))
-        return self._matrix
+    def matrix(self) -> list[list[LaurentPoly]]:
+        """L(z) as rows of `LaurentPoly`, built from the triples on each read."""
+        d = self.graph.dimension
+        zero = LaurentPoly.zero(d)
+        rows = []
+        for row in self._template.triples(self.labeling):
+            terms: dict[int, dict] = {}
+            for col, key, coeff in row:
+                if key[-1] == 0:
+                    terms.setdefault(col, {})[key] = coeff
+            rows.append([LaurentPoly._from_terms(d, terms[col]) if col in terms else zero
+                         for col in range(self.size)])
+        return rows
 
     def dispersion(self) -> LaurentPoly:
         """det(L(z) - lam I); cached after the first call.

@@ -25,6 +25,7 @@ everything is 0-based in file order.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,9 @@ class GraphFormatError(ValueError):
 # Fraction("1e<k>") builds 10**k, which for a huge k runs for hours.  The
 # bound is the interpreter's default digit limit for int(str).
 MAX_DECIMAL_EXPONENT = 4300
+
+# Characters of a refused rational string that an error message quotes.
+_QUOTED = 32
 
 # Largest "dimension" a graph file may declare.  The packed exponent keys
 # hold base ** k for every axis k <= d, so the exact layer grows about as
@@ -80,7 +84,13 @@ def parse_rational(value, where: str) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise GraphFormatError(f"{where}: cannot parse rational {value!r}") from exc
+            shown = value if len(value) <= _QUOTED else value[:_QUOTED] + "..."
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            runs = re.findall(r"\d+", value.replace("_", ""))
+            if limit and max(map(len, runs), default=0) > limit:
+                raise GraphFormatError(
+                    f"{where}: rational {shown!r} has more than {limit} digits") from exc
+            raise GraphFormatError(f"{where}: cannot parse rational {shown!r}") from exc
     raise GraphFormatError(f"{where}: expected a rational, got {type(value).__name__}")
 
 

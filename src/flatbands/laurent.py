@@ -11,22 +11,22 @@ per-row ``(column, exponent tuple, label)`` triples once and `fill`s
 them with each set of label values into a `PackedPencil`: each row's
 numerators over the lcm of its denominators, every exponent tuple packed
 into one int by Kronecker substitution, and the product of the row
-denominators.  `pack_rows` packs coefficient triples through it.  One
-expander, `det_packed`, expands minors of such a pencil row by row with
-no recursion: `_row_masks` lists the column bitmasks each row expands
-on (the min-plus permanent in `flatbands.polytope` walks the same
-lists), and a loop from the last row up keeps only the minors of the
-row below.  It returns the determinant as {packed key: integer
-numerator} over the pencil's denominator; the exact decisions in
-`flatbands.flatband` read it as it is.  `det_leibniz` takes a pencil
-(or a `LaurentMatrix`, which it packs first), runs `det_packed`, and
-decodes the result to a `LaurentPoly`, dividing the denominator back
-out once per term; `determinant` always runs it.  `det_bareiss`
-(fraction-free elimination over the Laurent ring) is the independent
-test oracle.  `support_leibniz` runs `det_packed` too, straight on a
-template's keys with every coefficient 1 and no sign flip, so it reads
-no label: that expands the permanent of the template's 0/1 pattern,
-whose keys are its support.  Both decode packed keys through `_unpack`.
+denominators.  One expander, `det_packed`, expands minors of such a
+pencil row by row with no recursion: `_row_masks` lists the column
+bitmasks each row expands on (the min-plus permanent in
+`flatbands.polytope` walks the same lists), and a loop from the last
+row up keeps only the minors of the row below.  It returns the
+determinant as {packed key: integer numerator} over the pencil's
+denominator; the exact decisions in `flatbands.flatband` read it as it
+is.  `det_leibniz` takes a pencil, runs `det_packed`, and decodes the
+result to a `LaurentPoly`, dividing the denominator back out once per
+term; `determinant` always runs it.  `det_bareiss` (fraction-free
+elimination over the Laurent ring, on rows of `LaurentPoly`) is the
+independent test oracle.  `support_leibniz` runs `det_packed` too,
+straight on a template's keys with every coefficient 1 and no sign
+flip, so it reads no label: that expands the permanent of the
+template's 0/1 pattern, whose keys are its support.  Both decode packed
+keys through `_unpack`.
 `format_poly` and `format_unipoly` share one term joiner.
 """
 
@@ -277,40 +277,6 @@ def facial_polynomial(poly: LaurentPoly, weights: Sequence[int]) -> LaurentPoly:
 # matrices and determinants
 
 
-class LaurentMatrix:
-    """Square matrix of LaurentPoly entries sharing one dimension."""
-
-    __slots__ = ("entries", "size", "dimension")
-
-    def __init__(self, entries: Iterable[Iterable[LaurentPoly]]):
-        rows = tuple(tuple(row) for row in entries)
-        if not rows:
-            raise ValueError("matrix must be nonempty")
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        dim = rows[0][0].dimension
-        for row in rows:
-            for entry in row:
-                if entry.dimension != dim:
-                    raise ValueError("all entries must share one dimension")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "size", n)
-        object.__setattr__(self, "dimension", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentMatrix is immutable")
-
-    def __getitem__(self, index):
-        return self.entries[index]
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-
 class PackedPencil:
     """Square matrix in the integer form that `det_packed` expands.
 
@@ -401,36 +367,12 @@ class PackedTemplate:
         return PackedPencil(self.size, self.dimension, self.base, packed_rows, denominator)
 
 
-def pack_rows(dimension: int, rows: Sequence[Sequence[tuple[int, Exponent, object]]]
-              ) -> PackedPencil:
-    """Pack a square matrix given as per-row (column, exponent, coefficient) triples.
-
-    A `PackedTemplate` with one label per triple, filled with the
-    coefficients at once; see there for the packing and the scaling.
-    """
-    values: list = []
-    labeled = []
-    for row in rows:
-        labeled.append([(col, key, len(values) + k) for k, (col, key, _) in enumerate(row)])
-        values.extend([coeff for _, _, coeff in row])
-    return PackedTemplate(dimension, labeled).fill(values)
-
-
-def det_leibniz(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
+def det_leibniz(pencil: PackedPencil) -> LaurentPoly:
     """Determinant as a `LaurentPoly`: `det_packed`, then one decode.
 
-    A `LaurentMatrix` is packed through `pack_rows` first.  Each output
-    coefficient is divided by the pencil's denominator once, and each
-    packed key is decoded into balanced base-B digits.
+    Each output coefficient is divided by the pencil's denominator once,
+    and each packed key is decoded into balanced base-B digits.
     """
-    if isinstance(matrix, PackedPencil):
-        pencil = matrix
-    else:
-        pencil = pack_rows(matrix.dimension, [
-            [(col, key, coeff) for col, entry in enumerate(row)
-             for key, coeff in entry._terms.items()]
-            for row in matrix.entries
-        ])
     base = pencil.base
     dim = pencil.dimension
     denominator = pencil.denominator
@@ -575,17 +517,18 @@ def _exact_divide(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     )
 
 
-def det_bareiss(matrix: LaurentMatrix) -> LaurentPoly:
+def det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Fraction-free Bareiss elimination over the Laurent ring.
 
+    ``rows`` is a square matrix of polynomials sharing one dimension.
     Rows are first scaled by monomials so every z-exponent is nonnegative;
     the scaling is divided back out of the result.
     """
-    n = matrix.size
-    dim = matrix.dimension
+    n = len(rows)
+    dim = rows[0][0].dimension
     total_shift = [0] * dim
     work: list[list[LaurentPoly]] = []
-    for row in matrix.entries:
+    for row in rows:
         shift = [0] * dim
         for entry in row:
             for key in entry._terms:
@@ -619,7 +562,7 @@ def det_bareiss(matrix: LaurentMatrix) -> LaurentPoly:
     return det.shift([-s for s in total_shift])
 
 
-def determinant(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
+def determinant(pencil: PackedPencil) -> LaurentPoly:
     """Exact determinant as a `LaurentPoly`, by `det_leibniz`.
 
     The name exists as the one dispersion entry: `FloquetMatrix.dispersion`
@@ -627,7 +570,7 @@ def determinant(matrix: LaurentMatrix | PackedPencil) -> LaurentPoly:
     The exact decisions run the same expansion, `det_packed`, and skip
     the decode.
     """
-    return det_leibniz(matrix)
+    return det_leibniz(pencil)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from flatbands.graph import Labeling, PeriodicGraph
-from flatbands.laurent import LaurentMatrix, LaurentPoly
+from flatbands.laurent import LaurentPoly, PackedPencil, PackedTemplate
 
 # Tests that start `python -m flatbands` need the same sources in the
 # child interpreter, whether or not the package is installed.
@@ -17,13 +17,28 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
-def laurent_pencil(matrix: LaurentMatrix) -> LaurentMatrix:
+def laurent_pencil(rows: list[list[LaurentPoly]]) -> list[list[LaurentPoly]]:
     """L(z) - lam * I by Laurent arithmetic: ``e - lam`` on the diagonal."""
-    lam = LaurentPoly.lam(matrix.dimension)
-    return LaurentMatrix(
-        [e - lam if i == j else e for j, e in enumerate(row)]
-        for i, row in enumerate(matrix.entries)
-    )
+    lam = LaurentPoly.lam(rows[0][0].dimension)
+    return [[e - lam if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def pack_triples(dimension: int, rows) -> PackedPencil:
+    """Per-row (column, exponent, coefficient) triples packed with one label per triple."""
+    labeled = []
+    values = []
+    for row in rows:
+        labeled.append([(col, key, len(values) + k) for k, (col, key, _) in enumerate(row)])
+        values.extend(coeff for _, _, coeff in row)
+    return PackedTemplate(dimension, labeled).fill(values)
+
+
+def pack_matrix(rows: list[list[LaurentPoly]]) -> PackedPencil:
+    """A square matrix of polynomials sharing one dimension, packed by `pack_triples`."""
+    return pack_triples(rows[0][0].dimension, [
+        [(col, key, coeff) for col, entry in enumerate(row) for key, coeff in entry.items()]
+        for row in rows])
 
 
 LIEB_EDGES = [

@@ -18,7 +18,7 @@ from flatbands.bands import MAX_GRID_POINTS
 from flatbands.flatband import flat_bands_of, generic_flat_band_decision
 from flatbands.floquet import FloquetMatrix, PencilTemplate
 from flatbands.graphio import MAX_DIMENSION
-from flatbands.laurent import LaurentMatrix, LaurentPoly, PackedTemplate, format_unipoly
+from flatbands.laurent import LaurentPoly, PackedTemplate, format_unipoly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 from flatbands.cli import (
     EXIT_BROKEN_PIPE,
@@ -523,6 +523,21 @@ class TestErrorPaths:
         assert err == (f"input error: invalid JSON: an integer has more than "
                        f"{sys.get_int_max_str_digits()} digits\n")
 
+    @pytest.mark.parametrize("potential, message", [
+        ("1" + "0" * 5000, "rational '1000{d}...' has more than {limit} digits"),
+        ("x" * 10**6, "cannot parse rational 'xxxx{x}...'"),
+    ], ids=["past-the-digit-limit", "a-megabyte-of-junk"])
+    def test_long_string_rational(self, capsys, tmp_path, potential, message):
+        path = tmp_path / "long_string.json"
+        path.write_text(json.dumps(
+            {"dimension": 1, "orbits": [{"id": "A", "potential": potential}]}))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert "Traceback" not in err
+        assert err == "input error: orbits[0].potential: " + message.format(
+            d="0" * 28, x="x" * 28, limit=sys.get_int_max_str_digits()) + "\n"
+
     def test_null_orbit_id(self, capsys, tmp_path):
         path = tmp_path / "null_id.json"
         path.write_text('{"dimension": 1, "orbits": [{"id": null, "potential": 0}]}')
@@ -862,8 +877,7 @@ class TestExactWorkPerCommand:
     def test_exact_commands_make_one_laurent_poly_per_dispersion(
             self, capsys, monkeypatch, lieb_json_path, argv):
         labelings = 4 if "generic" in argv else sum(map(_labelings_until_settled, range(5)))
-        counts = {"matrices": 0, "polys": 0, "dispersions": 0, "permanents": 0,
-                  "floquet": 0, "decoded": 0}
+        counts = {"polys": 0, "dispersions": 0, "permanents": 0, "floquet": 0, "decoded": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -871,8 +885,6 @@ class TestExactWorkPerCommand:
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(LaurentMatrix, "__init__",
-                            counting("matrices", LaurentMatrix.__init__))
         monkeypatch.setattr(LaurentPoly, "__init__", counting("polys", LaurentPoly.__init__))
         monkeypatch.setattr(LaurentPoly, "_from_terms", classmethod(
             counting("polys", LaurentPoly._from_terms.__func__)))
@@ -895,7 +907,7 @@ class TestExactWorkPerCommand:
         permanents = 0 if "generic" in argv else 5
         assert counts["permanents"] == permanents
         assert counts["dispersions"] == labelings + permanents
-        assert counts["matrices"] == counts["polys"] == 0
+        assert counts["polys"] == 0
         assert counts["floquet"] == counts["decoded"] == 0
 
     def test_polytope_fills_one_template(self, capsys, monkeypatch, lieb_json_path):
@@ -928,21 +940,21 @@ class TestExactWorkPerCommand:
         assert json.loads(out)["exact_crosscheck"][0]["consistent"] is True
         assert builds == [3]
 
-    @pytest.mark.parametrize("command, matrices", [("bands", 0), ("analyze", 1)])
-    def test_only_the_analyze_printout_builds_a_laurent_matrix(
-            self, capsys, monkeypatch, lieb_json_path, command, matrices):
+    @pytest.mark.parametrize("command, reads", [("bands", 0), ("analyze", 1)])
+    def test_only_the_analyze_printout_reads_laurent_rows(
+            self, capsys, monkeypatch, lieb_json_path, command, reads):
         # the band grid reads the pencil template; analyze prints L(z)
-        builds = []
-        init = LaurentMatrix.__init__
+        seen = []
+        rows = FloquetMatrix.matrix.fget
 
-        def counted(self, entries):
-            builds.append(command)
-            init(self, entries)
+        def counted(self):
+            seen.append(command)
+            return rows(self)
 
-        monkeypatch.setattr(LaurentMatrix, "__init__", counted)
+        monkeypatch.setattr(FloquetMatrix, "matrix", property(counted))
         code, _, _ = run_cli(capsys, command, lieb_json_path)
         assert code in (EXIT_OK, EXIT_FLAT_BAND)
-        assert len(builds) == matrices
+        assert len(seen) == reads
 
 
 def test_module_entry_point(lieb_json_path):

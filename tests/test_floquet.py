@@ -21,7 +21,7 @@ from flatbands.floquet import (
     induced_operator,
 )
 from flatbands.graph import Labeling, PeriodicGraph, canonicalize_edge
-from flatbands.laurent import LaurentMatrix, LaurentPoly, det_bareiss, format_poly
+from flatbands.laurent import LaurentPoly, det_bareiss, format_poly
 from flatbands.sampling import random_labeling, random_periodic_graph, rng_for
 
 from conftest import laurent_pencil
@@ -48,7 +48,7 @@ def lieb_closed_form(v, e):
 
 def test_lieb_entries(lieb_graph, lieb_labeling):
     matrix = FloquetMatrix(lieb_graph, lieb_labeling).matrix
-    entry = [[format_poly(p) for p in row] for row in matrix.entries]
+    entry = [[format_poly(p) for p in row] for row in matrix]
     assert entry == [
         ["0", "1 + z1", "0"],
         ["z1^-1 + 1", "0", "z2^-1 + 1"],
@@ -151,7 +151,7 @@ def test_dispersion_method_choice(lieb_graph, lieb_labeling):
     assert matrix.dispersion() == det_bareiss(laurent_pencil(matrix.matrix))
 
 
-def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> LaurentMatrix:
+def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> list[list[LaurentPoly]]:
     """L(z) from Laurent arithmetic: zero entries plus one monomial per class side."""
     d = graph.dimension
     n = graph.num_orbits
@@ -170,7 +170,7 @@ def _build_matrix(graph: PeriodicGraph, labeling: Labeling) -> LaurentMatrix:
         else:
             rows[i][j] = rows[i][j] + direct
             rows[j][i] = rows[j][i] + reverse
-    return LaurentMatrix(rows)
+    return rows
 
 
 @st.composite
@@ -213,23 +213,16 @@ def test_packed_build_matches_the_laurent_oracle(labeling):
     assert matrix.dispersion() == det_bareiss(laurent_pencil(oracle))
 
 
-def test_laurent_matrices_wait_for_a_reader(lieb_graph, lieb_labeling):
-    matrix = FloquetMatrix(lieb_graph, lieb_labeling)
-    matrix.dispersion()
-    assert matrix._matrix is None
-    assert matrix.matrix is matrix.matrix
-
-
 def test_a_sparse_laurent_matrix_holds_no_polynomial_per_empty_cell():
     # 400 edgeless orbits: 160000 cells, 400 of them nonzero.  A polynomial
-    # per cell takes about 20 MB here; a shared zero leaves the two n x n
-    # grids of references (the rows and the matrix's tuples), about 2.6 MB.
+    # per cell takes about 20 MB here; a shared zero leaves the one n x n
+    # grid of references in the rows, about 1.3 MB.
     n = 400
     graph = PeriodicGraph(1, n)
     matrix = FloquetMatrix(graph, Labeling(graph, list(range(1, n + 1)), {}))
     tracemalloc.start()
     try:
-        entries = matrix.matrix.entries
+        entries = matrix.matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from flatbands import laurent
 from flatbands.laurent import (
-    LaurentMatrix,
     LaurentPoly,
     PackedTemplate,
     det_bareiss,
@@ -17,9 +16,10 @@ from flatbands.laurent import (
     determinant,
     facial_polynomial,
     format_poly,
-    pack_rows,
     support_leibniz,
 )
+
+from conftest import pack_matrix, pack_triples
 
 
 def test_zero_coefficients_are_dropped():
@@ -124,32 +124,24 @@ def test_format_poly():
     assert format_poly(LaurentPoly.constant(2, -3)) == "-3"
 
 
-def test_matrix_validation():
-    one = LaurentPoly.constant(1, 1)
-    with pytest.raises(ValueError):
-        LaurentMatrix([[one, one]])
-    with pytest.raises(ValueError):
-        LaurentMatrix([[one, LaurentPoly.constant(2, 1)], [one, one]])
-
-
 def test_two_by_two_determinant():
     z = LaurentPoly.z_var(1, 0)
     lam = LaurentPoly.lam(1)
     one = LaurentPoly.constant(1, 1)
-    m = LaurentMatrix([[z, one], [lam, LaurentPoly.z_var(1, 0, -1)]])
+    m = [[z, one], [lam, LaurentPoly.z_var(1, 0, -1)]]
     expected = one - lam
-    assert det_leibniz(m) == expected
+    assert det_leibniz(pack_matrix(m)) == expected
     assert det_bareiss(m) == expected
-    assert determinant(m) == expected
+    assert determinant(pack_matrix(m)) == expected
 
 
 def test_determinant_with_zero_pivot_column():
     # first column identically zero: determinant vanishes
     zero = LaurentPoly.zero(1)
     one = LaurentPoly.constant(1, 1)
-    m = LaurentMatrix([[zero, one], [zero, one]])
+    m = [[zero, one], [zero, one]]
     assert det_bareiss(m).is_zero
-    assert det_leibniz(m).is_zero
+    assert det_leibniz(pack_matrix(m)).is_zero
 
 
 def _random_poly(rng: random.Random, dimension: int, max_terms: int = 3) -> LaurentPoly:
@@ -165,14 +157,12 @@ def test_leibniz_matches_bareiss(trial):
     rng = random.Random(f"detcmp/{trial}")
     dimension = rng.randint(1, 2)
     n = rng.randint(1, 4)
-    m = LaurentMatrix(
-        [[_random_poly(rng, dimension) for _ in range(n)] for _ in range(n)]
-    )
-    assert det_leibniz(m) == det_bareiss(m)
+    m = [[_random_poly(rng, dimension) for _ in range(n)] for _ in range(n)]
+    assert det_leibniz(pack_matrix(m)) == det_bareiss(m)
 
 
 @st.composite
-def sparse_matrices(draw) -> LaurentMatrix:
+def sparse_matrices(draw) -> list[list[LaurentPoly]]:
     """Up to 7x7 in d = 1..3 with zero entries, denominators up to 10^6
     and z-exponents up to +-40, which stretch the packing base.
 
@@ -200,18 +190,18 @@ def sparse_matrices(draw) -> LaurentMatrix:
             for col in {diagonal[i], *extra}:
                 row[col] = draw(entry)
         rows.append(row)
-    return LaurentMatrix(rows)
+    return rows
 
 
 @given(m=sparse_matrices())
 @settings(max_examples=80, deadline=None)
 def test_integer_leibniz_matches_bareiss(m):
-    assert det_leibniz(m) == det_bareiss(m)
+    assert det_leibniz(pack_matrix(m)) == det_bareiss(m)
 
 
 @st.composite
 def triple_rows(draw) -> tuple[int, list]:
-    """(d, rows) for `pack_rows`: n <= 5, d <= 2, 0-3 terms per entry, coefficients +-1..3."""
+    """(d, rows) for `pack_triples`: n <= 5, d <= 2, 0-3 terms per entry, coefficients +-1..3."""
     n = draw(st.integers(1, 5))
     dimension = draw(st.integers(1, 2))
     key = st.tuples(*([st.integers(-2, 2)] * dimension), st.integers(0, 2))
@@ -250,13 +240,13 @@ def test_support_leibniz_is_the_permanent_support(case):
     dimension, rows = case
     support = support_leibniz(_pattern(dimension, rows))
     assert support == _permanent_support(rows)
-    assert determinant(pack_rows(dimension, rows)).support() <= support
+    assert determinant(pack_triples(dimension, rows)).support() <= support
 
 
 def test_permanent_support_survives_a_vanishing_determinant():
     # every entry 1: the determinant cancels to 0, the permanent does not
     rows = [[(0, (0, 0), 1), (1, (0, 0), 1)], [(0, (0, 0), 1), (1, (0, 0), 1)]]
-    assert determinant(pack_rows(1, rows)).is_zero
+    assert determinant(pack_triples(1, rows)).is_zero
     assert support_leibniz(_pattern(1, rows)) == {(0, 0)}
 
 
@@ -269,7 +259,6 @@ def test_auto_determinant_runs_leibniz_only(monkeypatch, n):
         rows[i][i] = LaurentPoly.constant(1, Fraction(i, 3)) - lam
         rows[i][(i + 1) % n] = z
         rows[(i + 1) % n][i] = LaurentPoly.z_var(1, 0, -1)
-    m = LaurentMatrix(rows)
     calls = []
 
     def counted(name, kernel):
@@ -280,25 +269,24 @@ def test_auto_determinant_runs_leibniz_only(monkeypatch, n):
 
     monkeypatch.setattr(laurent, "det_leibniz", counted("leibniz", det_leibniz))
     monkeypatch.setattr(laurent, "det_bareiss", counted("bareiss", det_bareiss))
-    result = determinant(m)
+    result = determinant(pack_matrix(rows))
     assert calls == ["leibniz"]
-    assert result == det_bareiss(m)
+    assert result == det_bareiss(rows)
 
 
 def test_determinant_row_swap_flips_sign():
     rng = random.Random("rowswap")
     rows = [[_random_poly(rng, 1) for _ in range(3)] for _ in range(3)]
-    d = determinant(LaurentMatrix(rows))
+    d = determinant(pack_matrix(rows))
     rows[0], rows[1] = rows[1], rows[0]
-    assert determinant(LaurentMatrix(rows)) == -d
+    assert determinant(pack_matrix(rows)) == -d
 
 
 def test_determinant_repeated_row_vanishes():
     rng = random.Random("repeat")
     row = [_random_poly(rng, 2) for _ in range(3)]
     other = [_random_poly(rng, 2) for _ in range(3)]
-    m = LaurentMatrix([row, other, row])
-    assert determinant(m).is_zero
+    assert determinant(pack_matrix([row, other, row])).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from flatbands.flatband import flat_bands_of, vertical_segment_face_witness
 from flatbands.floquet import FloquetMatrix, dispersion_polynomial
 from flatbands.graph import (Labeling, PeriodicGraph, canonicalize_edge,
                              has_support_zero_domain)
-from flatbands.laurent import (PackedTemplate, determinant, facial_polynomial, pack_rows,
-                               support_leibniz)
+from flatbands.laurent import PackedTemplate, determinant, facial_polynomial, support_leibniz
 from flatbands.polytope import (
     _hull_cycle_2d,
     _minplus_permanent,
@@ -34,7 +33,7 @@ from flatbands.polytope import (
 )
 from flatbands.sampling import random_labeling, random_rational, rng_for
 
-from conftest import LIEB_EDGES
+from conftest import LIEB_EDGES, pack_triples
 
 LIEB_SUPPORT = {
     (0, 0, 3),
@@ -457,7 +456,7 @@ def _cofactor_witness(graph, w, support_points):
         return None if (0,) * len(w) in members else 0
     rows = floquet.PencilTemplate(graph).triples(base)
     for orbit in range(n):
-        cofactor = determinant(pack_rows(graph.dimension, _cofactor_rows(rows, orbit)))
+        cofactor = determinant(pack_triples(graph.dimension, _cofactor_rows(rows, orbit)))
         if members.isdisjoint(cofactor.support()):
             return orbit
     return None
@@ -804,3 +803,25 @@ def test_extreme_points_of_a_dense_3d_support():
         assert not _fraction_in_hull(v, [q for q in ordered if q != v])
     for p in rng.sample(sorted(support - vertices), 8):
         assert _fraction_in_hull(p, ordered)
+
+
+def test_beneath_beyond_scrambles_sorted_input(monkeypatch):
+    # sorted input is its worst order: in sorted order these points built
+    # 9914 facets on the way to the hull, and about 1000 in a fixed
+    # scrambled order
+    built = []
+    init = polytope._Facet.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(polytope._Facet, "__init__", counted)
+    rng = random.Random(1)
+    points = [tuple(rng.randint(-1000, 1000) for _ in range(3)) for _ in range(1500)]
+    ordered = sorted(extreme_points(points))
+    assert len(built) < 2500
+    # the 86 vertices the sorted insertion order found
+    assert len(ordered) == 86
+    assert hashlib.sha256(repr(ordered).encode()).hexdigest() == (
+        "8c6624a264d1244d545526530596dcb11a4ea2b4694f8b9f26c36a36fb0c26e3")

@@ -16,7 +16,8 @@ from flatbands.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 LIEB = str(SAMPLES / "lieb.json")
-# eight vertical faces whose witnesses are three different orbits
+# eight vertical faces whose witnesses are three different orbits; its
+# printed L(z) has the most empty and multi-term cells of the samples
 FIVE_ORBITS = str(SAMPLES / "five_orbits.json")
 # d = 3: two flat bands, and the polytope report skips the faces (d > 2)
 LIEB3D = str(SAMPLES / "lieb3d.json")
@@ -32,6 +33,10 @@ PINNED = [
      "d0597d53d59fabd00d47689eadb6407ce68678cfe4cef7a3b939170e869932fd"),
     (("--json", "polytope", LIEB), 0,
      "c4fc56232d8d6f45cdfa3e8f73abf515862d2c29592b0c61ee7e32f6e2eb1934"),
+    (("analyze", FIVE_ORBITS), 10,
+     "c803ba7240e9803917da64a976975d2468c6e0bae06a08b6f1f6f315d4ddec7a"),
+    (("--json", "analyze", FIVE_ORBITS), 10,
+     "cfdc425a012773ff413d39a3dea1089463886d276827ea84ae70b734cdc11109"),
     (("--json", "polytope", FIVE_ORBITS), 0,
      "4dbb7ca232b239f197c25f5ce58e61cbf84fe2531664d672243df85dce7c78c8"),
     (("analyze", LIEB3D), 10,
@@ -43,7 +48,8 @@ PINNED = [
 
 @pytest.mark.parametrize("argv, code, digest", PINNED, ids=[
     "verify-theorem-json", "analyze-lieb-text", "analyze-lieb-json",
-    "generic-lieb-100", "polytope-lieb-json", "polytope-five-orbits-json",
+    "generic-lieb-100", "polytope-lieb-json", "analyze-five-orbits-text",
+    "analyze-five-orbits-json", "polytope-five-orbits-json",
     "analyze-lieb3d-text", "polytope-lieb3d-json"])
 def test_report_digest(argv, code, digest):
     out = io.StringIO()
